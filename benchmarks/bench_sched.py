@@ -17,6 +17,13 @@ machine-specific: speedups are only meaningful against a baseline
 captured on the same machine, so the script reports the ratio but never
 fails on it unless ``--min-speedup`` is given.
 
+The report also carries ``work_counts``: the totals of the search's
+deterministic work counters over one pass of the population (placements
+attempted, candidates pruned by each rule, slots probed).  They do not
+depend on the machine, so CI compares them exactly against
+``benchmarks/baselines/bench_sched_counts.json``; a placement or pruning
+change that alters them must update that file in the same commit.
+
 Also collectable by the pytest-benchmark harness like its siblings::
 
     pytest benchmarks/bench_sched.py --benchmark-only -s
@@ -27,10 +34,15 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 BASELINE = REPO / "benchmarks" / "baselines" / "bench_sched_seed.json"
+
+#: deterministic work counters totalled into the report's ``work_counts``.
+WORK_COUNTERS = ("tms.candidates", "tms.pruned_bound",
+                 "tms.pruned_certificate", "sched.engine.slot_probes")
 
 #: population cap matching the golden file and the seed baseline.
 MAX_LOOPS = 4
@@ -38,30 +50,39 @@ MAX_LOOPS = 4
 
 def measure_cold_tms(repeats: int = 3) -> dict:
     """Best-of-``repeats`` cold TMS schedule seconds per synthetic-SPECfp
-    kernel (the exact measurement behind the seed baseline)."""
+    kernel (the exact measurement behind the seed baseline), plus the
+    work counters' totals over the first repeat."""
     from repro.config import ArchConfig
     from repro.experiments.validate import suite_loops
     from repro.graph import build_ddg
     from repro.machine import LatencyModel, ResourceModel
+    from repro.obs.aggregate import collecting
     from repro.sched.tms import ThreadSensitiveScheduler
 
     arch = ArchConfig.paper_default()
     resources = ResourceModel.default(arch.issue_width)
     latency = LatencyModel.for_arch(arch)
     per_kernel = {}
+    counts = dict.fromkeys(WORK_COUNTERS, 0)
     for _benchmark, loop in suite_loops(("table2",), MAX_LOOPS):
         ddg = build_ddg(loop, latency)
         best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            ThreadSensitiveScheduler(ddg, resources, arch).schedule()
-            best = min(best, time.perf_counter() - start)
+        for rep in range(repeats):
+            # the first repeat counts into fresh instruments
+            with (collecting() if rep == 0 else nullcontext()) as task:
+                start = time.perf_counter()
+                ThreadSensitiveScheduler(ddg, resources, arch).schedule()
+                best = min(best, time.perf_counter() - start)
+            if task is not None:
+                for name in WORK_COUNTERS:
+                    counts[name] += task.registry.counter(name).value
         per_kernel[loop.name] = best
     return {
         "max_loops": MAX_LOOPS,
         "repeats": repeats,
         "total_seconds": sum(per_kernel.values()),
         "per_kernel_seconds": per_kernel,
+        "work_counts": counts,
     }
 
 
@@ -97,7 +118,9 @@ def compare_to_baseline(result: dict,
 def render(report: dict) -> str:
     lines = [f"cold TMS: {report['total_seconds']:.3f}s over "
              f"{len(report['per_kernel_seconds'])} kernels "
-             f"(best of {report['repeats']})"]
+             f"(best of {report['repeats']})",
+             "work: " + ", ".join(f"{name} {count}" for name, count
+                                  in report["work_counts"].items())]
     if report.get("baseline"):
         lines.append(
             f"seed baseline: {report['baseline']['total_seconds']:.3f}s "

@@ -156,8 +156,9 @@ class SchedulerConfig:
         Hard bound on II as a multiple of the longest dependence path, used
         as a search safety net.
     max_candidates:
-        Upper bound on the number of (II, C_delay) pairs TMS will attempt
-        before giving up (safety net; never hit by the paper workloads).
+        Upper bound on the number of (II, C_delay) pairs TMS will visit,
+        attempted or pruned alike, before giving up (safety net; never hit
+        by the paper workloads).
     budget_ratio_ii:
         IMS backtracking budget per II as a multiple of the node count.
     speculation:

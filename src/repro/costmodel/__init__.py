@@ -2,8 +2,9 @@
 
 * :mod:`repro.costmodel.sync` — synchronisation delay of a register
   dependence (Definition 2, generalised to kernel distances > 1), the
-  skew a memory dependence needs in order to be *preserved*, and the
-  preserved-by test (Definition 3).
+  skew a memory dependence needs in order to be *preserved*, the
+  preserved-by test (Definition 3), and the recurrence lower bound on
+  any TMS schedule's ``C_delay`` threshold.
 * :mod:`repro.costmodel.misspec` — kernel misspeculation probability
   ``P_M`` (Equation 3).
 * :mod:`repro.costmodel.exectime` — ``T_lb``, the objective
@@ -14,6 +15,7 @@
 
 from .sync import (
     ScheduleView,
+    c_delay_lower_bound,
     sync_delay,
     required_skew,
     is_preserved,
@@ -34,6 +36,7 @@ __all__ = [
     "CostEstimate",
     "ScheduleView",
     "achieved_c_delay",
+    "c_delay_lower_bound",
     "estimate_execution_time",
     "is_preserved",
     "kernel_misspec_probability",

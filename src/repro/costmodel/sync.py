@@ -32,18 +32,33 @@ misspeculate.  (The paper's formula is garbled in the available text; this
 reconstruction matches the visible ``sync(u,v) >= (...)/d_ker(x,y)``
 fragment and the motivating example, where SMS's 11-cycle sync delay
 "accidentally preserves" ``n5 -> n0/n2/n3``.  See DESIGN.md.)
+
+**Recurrence lower bound on C_delay.**  Summed around a circuit of
+synchronised flow edges, the spans ``row(x) - row(y) + lat(x)`` lose their
+row terms and total ``sum(lat)``, while the kernel distances total
+``sum(d) >= 1``.  With ``t = C_delay - C_reg_com``, C1 gives every edge
+with ``k >= 1`` a span of at most ``k * t``; any valid schedule gives
+every edge a span of at most ``k * II`` (a flow edge's delay is at least
+its producer's latency), which is ``<= k * t`` when ``k <= 0`` and
+``t <= II``.  So ``sum(lat) <= sum(d) * t`` when ``t <= II``, and
+``sum(lat) <= sum(d) * II < sum(d) * t`` otherwise: no schedule meets a
+threshold below ``C_reg_com + ceil(sum(lat) / sum(d))`` —
+:func:`c_delay_lower_bound`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Protocol
 
+from ..config import ArchConfig
 from ..errors import DDGError
 from ..graph.ddg import DDG
 from ..graph.dependence import Dependence
+from ..graph.mii import rec_mii
 
 __all__ = [
     "ScheduleView",
+    "c_delay_lower_bound",
     "sync_delay",
     "required_skew",
     "is_preserved",
@@ -123,3 +138,26 @@ def non_preserved_memory_deps(view: ScheduleView,
     cache = {dep: sync_delay(view, dep, c_reg_com) for dep in reg_list}
     return [e for e in mem_deps
             if not is_preserved(view, e, reg_list, c_reg_com, sync_cache=cache)]
+
+
+def c_delay_lower_bound(ddg: DDG, arch: ArchConfig, *,
+                        speculation: bool = True) -> int:
+    """A lower bound on the ``C_delay`` threshold of every complete TMS
+    placement of ``ddg``: ``C_reg_com`` plus the smallest integer
+    ``t >= 1`` under which no circuit of synchronised flow edges (register
+    flow, plus memory flow when ``speculation`` is off) has
+    ``sum(lat(src)) > t * sum(distance)``.
+
+    Without such a circuit this is ``1 + C_reg_com``, the TMS search's
+    smallest threshold.  The per-edge weight is the producer's latency,
+    capped at the edge's scheduling delay so that a hand-built edge with
+    a shorter delay keeps the bound sound.
+    """
+    def synchronised(e: Dependence) -> bool:
+        return e.is_register_flow or (not speculation and e.is_memory_flow)
+
+    def span(e: Dependence) -> int:
+        return min(ddg.latency(e.src), e.delay)
+
+    return arch.reg_comm_latency + rec_mii(ddg, edge_filter=synchronised,
+                                           delay=span)

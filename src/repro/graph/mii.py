@@ -17,11 +17,12 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..errors import DDGError
 from ..machine.resources import ResourceModel
 from .ddg import DDG
+from .dependence import Dependence
 
 __all__ = ["res_mii", "rec_mii", "compute_mii", "is_feasible_ii", "scc_rec_mii"]
 
@@ -29,6 +30,41 @@ __all__ = ["res_mii", "rec_mii", "compute_mii", "is_feasible_ii", "scc_rec_mii"]
 def res_mii(ddg: DDG, resources: ResourceModel) -> int:
     """Resource-constrained MII."""
     return resources.res_mii(ddg.opcodes())
+
+
+EdgeFilter = Callable[[Dependence], bool]
+EdgeDelay = Callable[[Dependence], int]
+
+
+def _arcs(ddg: DDG, node_set: set[str], edge_filter: EdgeFilter | None,
+          delay: EdgeDelay | None) -> list[tuple[str, str, int, int]]:
+    """``(src, dst, delay, distance)`` of the selected edges within
+    ``node_set``."""
+    return [(e.src, e.dst, e.delay if delay is None else delay(e), e.distance)
+            for e in ddg.edges
+            if e.src in node_set and e.dst in node_set
+            and (edge_filter is None or edge_filter(e))]
+
+
+def _no_positive_cycle(arcs: Sequence[tuple[str, str, int, int]],
+                       ii: int) -> bool:
+    """Bellman-Ford: True iff no cycle of ``arcs`` has positive weight
+    under ``delay - ii * distance``."""
+    if not arcs:
+        return True
+    dist: dict[str, float] = {}
+    for src, dst, _d, _k in arcs:
+        dist[src] = dist[dst] = 0.0
+    for _round in range(len(dist)):
+        changed = False
+        for src, dst, d, k in arcs:
+            w = dist[src] + (d - ii * k)
+            if w > dist[dst]:
+                dist[dst] = w
+                changed = True
+        if not changed:
+            return True
+    return False  # still relaxing after |V| rounds -> positive cycle
 
 
 def is_feasible_ii(ddg: DDG, ii: int, nodes: Iterable[str] | None = None) -> bool:
@@ -40,39 +76,32 @@ def is_feasible_ii(ddg: DDG, ii: int, nodes: Iterable[str] | None = None) -> boo
     if ii < 1:
         return False
     node_set = set(nodes) if nodes is not None else set(ddg.node_names)
-    edges = [e for e in ddg.edges if e.src in node_set and e.dst in node_set]
-    if not edges:
-        return True
-    dist: dict[str, float] = {n: 0.0 for n in node_set}
-    n = len(node_set)
-    for round_no in range(n):
-        changed = False
-        for e in edges:
-            w = e.delay - ii * e.distance
-            if dist[e.src] + w > dist[e.dst]:
-                dist[e.dst] = dist[e.src] + w
-                changed = True
-        if not changed:
-            return True
-    return False  # still relaxing after |V| rounds -> positive cycle
+    return _no_positive_cycle(_arcs(ddg, node_set, None, None), ii)
 
 
-def rec_mii(ddg: DDG, nodes: Iterable[str] | None = None) -> int:
-    """Recurrence-constrained MII (1 when there are no recurrences)."""
+def rec_mii(ddg: DDG, nodes: Iterable[str] | None = None, *,
+            edge_filter: EdgeFilter | None = None,
+            delay: EdgeDelay | None = None) -> int:
+    """Recurrence-constrained MII (1 when there are no recurrences).
+
+    ``edge_filter`` restricts the cycles to the edges it accepts, and
+    ``delay`` replaces ``Dependence.delay`` as the per-edge weight: the
+    result is the smallest II >= 1 under which no cycle of the accepted
+    edges has ``sum(delay) > II * sum(distance)``.
+    """
     node_set = set(nodes) if nodes is not None else set(ddg.node_names)
-    edges = [e for e in ddg.edges if e.src in node_set and e.dst in node_set]
-    loop_carried = [e for e in edges if e.distance > 0]
-    if not loop_carried:
+    arcs = _arcs(ddg, node_set, edge_filter, delay)
+    if not any(k > 0 for _src, _dst, _d, k in arcs):
         return 1
-    hi = max(1, sum(e.delay for e in edges))
-    if not is_feasible_ii(ddg, hi, node_set):
+    hi = max(1, sum(d for _src, _dst, d, _k in arcs))
+    if not _no_positive_cycle(arcs, hi):
         raise DDGError(
             f"DDG {ddg.name!r}: no feasible II up to {hi} "
             f"(a zero-distance cycle slipped through?)")
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if is_feasible_ii(ddg, mid, node_set):
+        if _no_positive_cycle(arcs, mid):
             hi = mid
         else:
             lo = mid + 1

@@ -41,10 +41,18 @@ instance, with two hot-path improvements over the seed implementation
   ``(1 - p_e)`` factors are multiplied in the exact order the seed used
   (commit order, then the tentative placement's), keeping the float
   product bit-identical.
+
+A failed :class:`TMSPolicy` attempt also leaves a *failure certificate*
+(:attr:`TMSPolicy.certificate`): the smallest, over every probe C1
+rejected, of the probe's largest new synchronised delay.  Only C1 reads
+``C_delay`` (C2 and ``score`` never do), so at any threshold ``c'`` with
+``c <= c' < certificate`` every probe is accepted or rejected exactly as
+at ``c`` and the attempt fails at the same node.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 from ...config import ArchConfig, SchedulerConfig
@@ -155,6 +163,10 @@ class TMSPolicy(SlotPolicy):
     The ``speculation=False`` mode (Section 5.2's ablation) treats memory
     flow dependences as synchronised: they join C1 and never
     misspeculate.
+
+    ``certificate`` accumulates over every attempt made with the policy
+    (both of TMS's seed passes): the smallest largest-new-sync of the
+    probes C1 rejected, ``inf`` while C1 has rejected none.
     """
 
     name = "tms"
@@ -168,17 +180,20 @@ class TMSPolicy(SlotPolicy):
         self._p_max = p_max
         self._ccom = arch.reg_comm_latency
         self._speculation = config.speculation
+        self.certificate = math.inf
         # incremental Definition-4 sets over the scheduled prefix:
         #   committed register deps as (row_of_src, sync_delay, consumer)
         #   committed memory deps as [row_of_src, required_skew,
         #                             probability, consumer, preserved]
         self._sreg: list[tuple[int, float, str]] = []
         self._smem: list[list] = []
-        # last (v, cycle) dependence sets — accept/score/on_place for the
-        # same probe share one computation.
+        # last (v, cycle) dependence sets and their largest synchronised
+        # delay (0 if none) — accept/score/on_place for the same probe
+        # share one computation.
         self._ck: tuple[str, int] | None = None
         self._creg: list = []
         self._cmem: list = []
+        self._cworst = 0.0
 
     def begin_attempt(self, partial) -> None:
         self._sreg.clear()
@@ -197,7 +212,8 @@ class TMSPolicy(SlotPolicy):
         ``k = d(e) + stage(dst) - stage(src)``; ``k < 1`` means the
         dependence stays intra-iteration.  ``sync = span/k + C_reg_com``
         with ``span = row(src) - row(dst) + latency(src)`` (Definition
-        2); ``req = span/k`` is C2's required skew.
+        2); ``req = span/k`` is C2's required skew.  Also caches the
+        largest synchronised delay among them (``_cworst``, 0 if none).
         """
         key = (v, cycle)
         if self._ck == key:
@@ -247,27 +263,32 @@ class TMSPolicy(SlotPolicy):
                 continue
             req = (row_v - s % ii + lat_v) / k
             new_mem.append((row_v, req + ccom, req, prob, dst))
+        worst = 0.0
+        for _row, sync, _dst in new_reg:
+            if sync > worst:
+                worst = sync
+        if not self._speculation:
+            # no-speculation mode: memory deps are synchronised too
+            for _row, sync, _req, _prob, _dst in new_mem:
+                if sync > worst:
+                    worst = sync
         self._ck = key
         self._creg = new_reg
         self._cmem = new_mem
+        self._cworst = worst
         return new_reg, new_mem
 
     # -- the Figure-3 acceptance conditions ---------------------------------
 
     def accept(self, v: str, cycle: int, slots: Mapping[str, int]) -> bool:
         new_reg, new_mem = self._deps(v, cycle, slots)
-        c_delay = self._c_delay
         # C1: every new synchronised dependence within threshold
-        for _row, sync, _dst in new_reg:
-            if sync > c_delay:
-                return False
-        if not self._speculation:
-            # no-speculation mode: memory deps are synchronised too
-            for _row, sync, _req, _prob, _dst in new_mem:
-                if sync > c_delay:
-                    return False
-            return True
-        if not new_mem:
+        worst = self._cworst
+        if worst > self._c_delay:
+            if worst < self.certificate:
+                self.certificate = worst
+            return False
+        if not self._speculation or not new_mem:
             return True
         # C2: misspeculation frequency of non-preserved memory deps.  The
         # (1 - p) factors multiply in commit order then tentative order —
@@ -322,15 +343,8 @@ class TMSPolicy(SlotPolicy):
         stage boundary forces that chain across the boundary and turns
         intra-thread dependences into synchronised ones.
         """
-        new_reg, new_mem = self._deps(v, cycle, slots)
-        worst = 0.0
-        for _row, sync, _dst in new_reg:
-            if sync > worst:
-                worst = sync
-        if not self._speculation:
-            for _row, sync, _req, _prob, _dst in new_mem:
-                if sync > worst:
-                    worst = sync
+        self._deps(v, cycle, slots)
+        worst = self._cworst
         tms = self._tms
         row = cycle % self._ii
         need_below = tms.depth[v]

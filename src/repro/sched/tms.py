@@ -16,10 +16,19 @@ failure discipline) and changes two things:
    frequency ``1 - prod(1 - p_e)`` over all *non-preserved* memory
    dependences among the scheduled instructions stays at most ``P_max``.
 
-Pruning (documented divergence): a failure at ``(II, C)`` is taken to imply
-failure at ``(II, C' < C)`` — C1 with a smaller threshold only rejects more
-slots.  This is how GCC-style implementations keep the restart loop
-tractable and never triggered a false negative on our workloads.
+Pruning: two exact rules skip candidates that provably admit no placement,
+without a placement attempt.  (1) *Recurrence bound*: no complete placement
+meets a threshold below :func:`~repro.costmodel.c_delay_lower_bound`
+(``C_reg_com`` plus the largest ``sum(lat) / sum(distance)`` over circuits
+of synchronised flow edges, rounded up).  (2) *Failure certificate*: a
+failed attempt at ``(II, c)`` reports the smallest largest-new-sync ``r``
+among the probes C1 rejected (``TMSPolicy.certificate``); every threshold
+in ``[c, r)`` sees the same accept/reject outcome on every probe, so
+``(II, c')`` for ``c < c' < r`` fails too.  Candidates are enumerated in
+ascending ``C_delay`` within each II, so a certificate only ever prunes
+later pairs.  A pruned pair counts toward the attempt budget exactly as a
+rejected one, so every search accepts, exhausts or falls back where an
+unpruned search would.
 
 The ``speculation=False`` mode (Section 5.2's ablation) treats memory flow
 dependences as synchronised: they join C1 and never misspeculate.
@@ -39,6 +48,7 @@ from ..costmodel.exectime import (
     objective_f,
     t_lower_bound,
 )
+from ..costmodel.sync import c_delay_lower_bound
 from ..errors import SchedulingBudgetExceeded, SchedulingError
 from ..graph.ddg import DDG
 from ..machine.resources import ResourceModel
@@ -69,6 +79,9 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         #: ancestor closures, tiebreak inputs), shared by every
         #: (II, C_delay) candidate of the search.
         self._tms_ctx = TMSContext(ddg, self.engine.ctx)
+        #: no complete placement meets a C_delay threshold below this.
+        self.c_delay_bound = c_delay_lower_bound(
+            ddg, arch, speculation=self.config.speculation)
         #: wall-clock watchdog deadline (armed per schedule() call).
         self._deadline: float | None = None
 
@@ -137,26 +150,37 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
                         p_max=p_max, mii=self.mii, max_ii=self.max_ii(),
                         ncore=self.arch.ncore)
         attempts = 0
-        highest_failed_cd: dict[int, int] = {}
+        budget = min(_MAX_ATTEMPTS, self.config.max_candidates)
+        #: II -> failure certificate of that II's last failed attempt
+        certificates: dict[int, float] = {}
         for index, (f_value, cd, ii) in enumerate(self._candidates()):
             self._check_watchdog(attempts)
-            if cd <= highest_failed_cd.get(ii, -1):
-                if tracer.enabled:
-                    self._emit_candidate(tracer, index, ii, cd, f_value,
-                                         "pruned")
-                continue
             attempts += 1
-            if attempts > min(_MAX_ATTEMPTS, self.config.max_candidates):
+            if attempts > budget:
                 if tracer.enabled:
                     tracer.emit("sched", "tms.budget_exhausted",
                                 loop=self.ddg.name, attempts=attempts - 1)
                 break
+            if self._pruned_by_bound(cd):
+                reason = "bound"
+            elif self._pruned_by_certificate(ii, cd, certificates):
+                reason = "certificate"
+            else:
+                reason = None
+            if reason is not None:
+                metrics.counter(
+                    f"tms.pruned_{reason}",
+                    f"TMS (II, C_delay) candidates skipped by the {reason} "
+                    f"rule").inc()
+                if tracer.enabled:
+                    self._emit_candidate(tracer, index, ii, cd, f_value,
+                                         "pruned", reason=reason)
+                continue
             metrics.counter(
                 "tms.candidates",
                 "TMS (II, C_delay) candidates attempted").inc()
-            slots = self._try_tms(ii, cd, p_max)
+            slots, certificates[ii] = self._try_tms(ii, cd, p_max)
             if slots is None:
-                highest_failed_cd[ii] = cd
                 if tracer.enabled:
                     self._emit_candidate(tracer, index, ii, cd, f_value,
                                          "reject")
@@ -185,6 +209,16 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             f"TMS failed on {self.ddg.name!r}: no schedule up to II "
             f"{self.max_ii()} even without thread-sensitivity constraints")
 
+    def _pruned_by_bound(self, cd: int) -> bool:
+        """Below the recurrence bound: no placement at any II."""
+        return cd < self.c_delay_bound
+
+    def _pruned_by_certificate(self, ii: int, cd: int,
+                               certificates: Mapping[int, float]) -> bool:
+        """Below the certificate of this II's last failed (lower)
+        threshold: the attempt would fail the same way."""
+        return cd < certificates.get(ii, -math.inf)
+
     def _check_watchdog(self, attempts: int) -> None:
         """Raise :class:`SchedulingBudgetExceeded` once the wall-clock
         budget (``SchedulerConfig.max_schedule_seconds``) is spent, so a
@@ -205,10 +239,11 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             f"{attempts} candidate attempts")
 
     def _emit_candidate(self, tracer, index: int, ii: int, cd: int,
-                        f_value: float, outcome: str) -> None:
+                        f_value: float, outcome: str, **extra) -> None:
         """One ``tms.candidate`` event: the (II, C_delay) pair, the full
         ``F`` objective breakdown (its four max-terms), and the outcome
-        (``accept`` / ``reject`` / ``pruned``)."""
+        (``accept`` / ``reject`` / ``pruned``, the last with its
+        ``reason``: ``bound`` / ``certificate``)."""
         arch = self.arch
         tracer.emit(
             "sched", "tms.candidate", loop=self.ddg.name, index=index,
@@ -217,7 +252,7 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             f_c_ci=float(arch.commit_overhead),
             f_c_delay=float(cd),
             f_t_lb_share=t_lower_bound(ii, cd, arch) / arch.ncore,
-            outcome=outcome)
+            outcome=outcome, **extra)
 
     def _finish(self, ii: int, slots: Mapping[str, int], cd: int, p_max: float,
                 f_value: float, *, fallback: bool) -> Schedule:
@@ -234,9 +269,13 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
     # -- one TMS scheduling attempt ---------------------------------------------
 
     def _try_tms(self, ii: int, c_delay: int, p_max: float
-                 ) -> dict[str, int] | None:
+                 ) -> tuple[dict[str, int] | None, float]:
         """SMS placement with Figure 3's C1/C2 acceptance conditions
         (a :class:`TMSPolicy` over the shared placement engine).
+
+        Returns ``(slots, certificate)``: the slot map or ``None``, and
+        the policy's failure certificate over both passes — every
+        threshold in ``[c_delay, certificate)`` fails at this II too.
 
         Two placement passes: seeds anchored at their ASAP first (best
         for small bodies), then anchored at the top of their II range
@@ -250,8 +289,8 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             self.seed_high = seed_high
             slots = self.try_policy(ii, policy)
             if slots is not None:
-                return slots
-        return None
+                return slots, policy.certificate
+        return None, policy.certificate
 
 
 def schedule_tms(ddg: DDG, resources: ResourceModel, arch: ArchConfig,

@@ -44,3 +44,17 @@ def test_recurrent_mem_mii(recurrent_ddg, resources):
     # distance-2 recurrence on A only needs (3 + 4 + 1) / 2 = 4
     assert rec_mii(recurrent_ddg) == 6
     assert rec_mii(recurrent_ddg, ["n0", "n1", "n2"]) == 4
+
+
+def test_no_edges_is_feasible(fig1_ddg):
+    assert is_feasible_ii(fig1_ddg, 1, ["n0"])
+
+
+def test_edge_filter_and_delay(fig1_ddg):
+    # Figure 1's II-8 recurrence closes through the memory flow n5 -> n0;
+    # its register flow circuits are unit-delay self-loops
+    assert rec_mii(fig1_ddg, delay=lambda e: 2 * e.delay) == 16
+    assert rec_mii(fig1_ddg, edge_filter=lambda e: e.is_register_flow) == 1
+    assert rec_mii(fig1_ddg,
+                   edge_filter=lambda e: e.dtype.value == "flow") == 8
+    assert rec_mii(fig1_ddg, edge_filter=lambda e: False) == 1

@@ -5,6 +5,9 @@ import pytest
 
 from repro.config import ArchConfig, SimConfig
 from repro.costmodel import objective_f
+from repro.graph import build_ddg
+from repro.machine import ResourceModel
+from repro.obs import metrics
 from repro.obs.events import tracing
 from repro.obs.export import events_to_jsonl, to_chrome_trace
 from repro.sched import (
@@ -14,6 +17,7 @@ from repro.sched import (
     schedule_tms,
 )
 from repro.spmt import simulate
+from repro.workloads.specfp import SPECFP_BENCHMARKS, generate_benchmark_loops
 
 
 # -- scheduler search events --------------------------------------------------
@@ -58,6 +62,29 @@ def test_tms_chosen_pair_minimises_f(arch, tms_search):
     assert args["c_delay"] == sched.meta["c_delay_threshold"]
     assert args["f"] == pytest.approx(
         objective_f(sched.ii, sched.meta["c_delay_threshold"], arch))
+
+
+def test_pruned_candidates_carry_their_reason(arch, latency):
+    """Skipped pairs keep their place in the enumeration: outcome
+    ``pruned`` with a ``reason``, one ``tms.pruned_<reason>`` count each,
+    while ``tms.candidates`` counts only the placements attempted."""
+    spec = next(b for b in SPECFP_BENCHMARKS if b.name == "ammp")
+    ddg = build_ddg(generate_benchmark_loops(spec, 1)[0], latency)
+    names = ("tms.candidates", "tms.pruned_bound", "tms.pruned_certificate")
+    before = [metrics.counter(n).value for n in names]
+    with tracing() as tracer:
+        schedule_tms(ddg, ResourceModel.default(), arch)
+    counts = dict(zip(names, (metrics.counter(n).value - b
+                              for n, b in zip(names, before))))
+    events = tracer.select("sched", "tms.candidate")
+    assert [e.args["index"] for e in events] == list(range(len(events)))
+    reasons = [e.args.get("reason") for e in events]
+    for e, reason in zip(events, reasons):
+        assert (reason is not None) == (e.args["outcome"] == "pruned")
+    assert counts["tms.pruned_bound"] == reasons.count("bound") > 0
+    assert counts["tms.pruned_certificate"] == \
+        reasons.count("certificate") > 0
+    assert counts["tms.candidates"] == reasons.count(None)
 
 
 def test_tms_candidate_f_breakdown(arch, tms_search):

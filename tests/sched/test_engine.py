@@ -177,21 +177,25 @@ def test_slot_policy_defaults_are_inert():
     policy.begin_attempt(None)  # no-op
 
 
-def test_engine_metrics_published(axpy_ddg, resources, arch):
+def test_engine_metrics_published(recurrent_ddg, resources, arch):
     from repro.obs import metrics as obs_metrics
 
     reg = obs_metrics.MetricsRegistry(enabled=True)
     old = obs_metrics.set_registry(reg)
     try:
-        schedule_tms(axpy_ddg, resources, arch)
+        schedule_tms(recurrent_ddg, resources, arch)
     finally:
         obs_metrics.set_registry(old)
     snap = {name: s.get("value", 0) for name, s in reg.snapshot().items()}
     assert snap.get("sched.engine.attempts", 0) > 0
     assert snap.get("sched.engine.slot_probes", 0) > 0
     assert snap.get("sched.engine.window_tables", 0) > 0
-    # the TMS (II, C_delay) search re-attempts IIs: the memo must hit
+    # this loop's TMS (II, C_delay) search re-attempts IIs (exact pruning
+    # leaves axpy's search a single attempt): the memo must hit on every
+    # attempt after an II's first
     assert snap.get("sched.engine.window_reuses", 0) > 0
+    assert snap["sched.engine.window_reuses"] == \
+        snap["sched.engine.attempts"] - snap["sched.engine.window_tables"]
 
 
 def test_deprecated_ordering_reexports_warn():

@@ -91,6 +91,22 @@ def test_objective_monotone_in_candidates(fig1_ddg, fig1_machine, arch):
     assert fs == sorted(fs)
 
 
+@pytest.mark.parametrize("ncore", [1, 2, 4, 8])
+@pytest.mark.parametrize("spawn", [0.5, 3])
+def test_candidates_ascend_in_c_delay_within_each_ii(fig1_ddg, fig1_machine,
+                                                     ncore, spawn):
+    """F is nondecreasing in C_delay at a fixed II and ties break on
+    C_delay, so each II's thresholds are visited in ascending order: a
+    failure can never prune a later, *lower* threshold of its II, and a
+    failure certificate (which covers higher thresholds) always can."""
+    arch = ArchConfig(ncore=ncore, spawn_overhead=spawn)
+    last: dict[int, int] = {}
+    for _f, cd, ii in ThreadSensitiveScheduler(
+            fig1_ddg, fig1_machine, arch)._candidates():
+        assert cd > last.get(ii, 0)
+        last[ii] = cd
+
+
 def test_meta_fields(fig1_ddg, fig1_machine, arch):
     tms = schedule_tms(fig1_ddg, fig1_machine, arch)
     for key in ("mii", "ldp", "c_delay_threshold", "p_max", "objective_f",
