@@ -23,6 +23,14 @@ meaningful against a baseline captured on the same machine, so the
 script reports the ratio but never fails on it unless ``--min-speedup``
 is given.
 
+The report also carries ``work_counts``: the totals of the simulator's
+deterministic work counters over one pass of the population (threads
+the resolver ran, threads committed without it, cycle jumps, and
+misspeculations).  They do not depend on the machine, so CI compares
+them exactly against ``benchmarks/baselines/bench_sim_counts.json``; a
+fast-path change that alters them must update that file in the same
+commit.
+
 Also collectable by the pytest-benchmark harness like its siblings::
 
     pytest benchmarks/bench_sim.py --benchmark-only -s
@@ -33,10 +41,15 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 BASELINE = REPO / "benchmarks" / "baselines" / "bench_sim_seed.json"
+
+#: deterministic work counters totalled into the report's ``work_counts``.
+WORK_COUNTERS = ("sim.resolved_threads", "sim.fastforward_threads",
+                 "sim.fastforwards", "sim.violations")
 
 #: population cap and workload matching the seed baseline.
 MAX_LOOPS = 4
@@ -68,18 +81,26 @@ def _pipelined_kernels():
 def measure_sim(repeats: int = 3, *, exact: bool = False,
                 iterations: int = ITERATIONS) -> dict:
     """Best-of-``repeats`` simulation seconds per kernel/schedule pair
-    (the exact measurement behind the seed baseline when ``exact``)."""
+    (the exact measurement behind the seed baseline when ``exact``),
+    plus the work counters' totals over the first repeat."""
     from repro.config import SimConfig
+    from repro.obs.aggregate import collecting
     from repro.spmt.sim import SpMTSimulator
 
     sim = SimConfig(iterations=iterations, seed=SEED, exact=exact)
     per_kernel = {}
+    counts = dict.fromkeys(WORK_COUNTERS, 0)
     for key, pipelined, arch in _pipelined_kernels():
         best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            SpMTSimulator(pipelined, arch, sim).run()
-            best = min(best, time.perf_counter() - start)
+        for rep in range(repeats):
+            # the first repeat counts into fresh instruments
+            with (collecting() if rep == 0 else nullcontext()) as task:
+                start = time.perf_counter()
+                SpMTSimulator(pipelined, arch, sim).run()
+                best = min(best, time.perf_counter() - start)
+            if task is not None:
+                for name in WORK_COUNTERS:
+                    counts[name] += task.registry.counter(name).value
         per_kernel[key] = best
     return {
         "max_loops": MAX_LOOPS,
@@ -88,6 +109,7 @@ def measure_sim(repeats: int = 3, *, exact: bool = False,
         "mode": "exact" if exact else "fast",
         "total_seconds": sum(per_kernel.values()),
         "per_kernel_seconds": per_kernel,
+        "work_counts": counts,
     }
 
 
@@ -125,7 +147,9 @@ def render(report: dict) -> str:
     lines = [f"sim ({report['mode']}): {report['total_seconds']:.3f}s over "
              f"{len(report['per_kernel_seconds'])} kernel simulations "
              f"x {report['iterations']} iterations "
-             f"(best of {report['repeats']})"]
+             f"(best of {report['repeats']})",
+             "work: " + ", ".join(f"{name} {count}" for name, count
+                                  in report["work_counts"].items())]
     if report.get("baseline"):
         lines.append(
             f"exact-loop baseline: "

@@ -29,16 +29,21 @@ Two execution strategies produce byte-identical :class:`SimStats`:
 * the **reference event loop** iterates every thread with the scalar
   resolver — forced by ``SimConfig.exact`` or ``REPRO_SIM_EXACT=1``;
 * the default path vectorises per-thread arrival resolution over the
-  kernel template and, once :class:`~repro.spmt.fastpath.
-  SteadyStateDetector` proves the periodic steady state, fast-forwards
-  the remaining iterations analytically.  Tracing, cache-miss draws and
-  fault hooks all disengage the parts of the fast path they would
-  perturb (see docs/simulator.md).
+  kernel template and memoises the loop as a state machine: the state
+  before a thread, taken relative to the previous thread's start, plus
+  the thread's realisation determine everything the thread adds to the
+  run, so a repeated (state, realisation) pair replays its recorded
+  transition, and a repeated state under the deterministic realisation
+  proves a cycle the run jumps along, in one step, up to the next thread
+  with a coin-flip realisation.  Tracing, per-thread records, cache-miss
+  draws and fault hooks all disengage the parts of the fast path they
+  would perturb (see docs/simulator.md).
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 
 import numpy as np
 
@@ -49,7 +54,6 @@ from ..obs.events import get_tracer
 from ..obs.spans import get_span_tracer
 from ..sched.postpass import PipelinedLoop
 from .channels import KernelTimingTemplate, ThreadTiming
-from .fastpath import SteadyStateDetector
 from .stats import SimStats
 from .trace import ThreadRecord
 from .violations import RealisationTable, detect_violation
@@ -64,11 +68,235 @@ _MAX_RESTARTS = 64
 #: handful; the cap only guards pathological non-repeating kernels).
 _RESOLVE_CACHE_MAX = 4096
 
+#: transitions memoised per run; a kernel whose states keep changing
+#: stops memoising here and finishes on the vectorised loop.
+_MEMO_MAX = 4096
+
+#: threads per batched realisation draw of the memoised path.
+_DRAW_CHUNK = 4096
+
+#: integral floats below this add, subtract and compare exactly.
+_EXACT = float(2 ** 52)
+
 
 def _env_exact() -> bool:
     """``REPRO_SIM_EXACT=1`` forces the reference event loop everywhere
     (including session worker processes, which inherit the environment)."""
     return os.environ.get("REPRO_SIM_EXACT", "").strip() not in ("", "0")
+
+
+class _BatchedRealisations:
+    """Thread realisations drawn ``_DRAW_CHUNK`` threads at a time
+    through :meth:`RealisationTable.block`, with the threads whose
+    realisation is not the deterministic one — in which the ``p = 1``
+    dependences manifest and the rest do not — indexed per chunk.
+
+    Chunks are drawn in thread order, so they consume the random stream
+    exactly as the reference loop's per-thread draws do.  A kernel
+    without coin-flip dependences (``0 < p < 1``) draws nothing: every
+    thread sees the deterministic realisation.  Queries must not go
+    back to a thread before one already queried.
+    """
+
+    def __init__(self, table: RealisationTable, n: int) -> None:
+        probs = [p for (_x, _y, _k, p) in table.template.speculated]
+        #: the deterministic realisation
+        self.det = tuple(p >= 1.0 for p in probs)
+        self._det_row = np.array(self.det, dtype=bool)
+        self._coin = any(0.0 < p < 1.0 for p in probs)
+        self._table = table
+        self._n = n
+        #: chunk -> (realisation rows, sorted non-deterministic threads)
+        self._chunks: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._drawn = 0
+        self._low = 0
+
+    def _chunk(self, c: int) -> tuple[np.ndarray, list[int]]:
+        while self._drawn <= c:
+            first = self._drawn * _DRAW_CHUNK
+            rows = self._table.block(first, min(_DRAW_CHUNK, self._n - first))
+            odd = np.flatnonzero((rows != self._det_row).any(axis=1))
+            self._chunks[self._drawn] = (rows, (odd + first).tolist())
+            self._drawn += 1
+        return self._chunks[c]
+
+    def _drop_before(self, c: int) -> None:
+        # threads before the one queried are never queried again
+        while self._low < c:
+            self._chunks.pop(self._low, None)
+            self._low += 1
+
+    def realised(self, j: int) -> tuple[bool, ...]:
+        """:meth:`RealisationTable.realised` for thread ``j``."""
+        if not self._coin:
+            return self.det
+        c, i = divmod(j, _DRAW_CHUNK)
+        self._drop_before(c)
+        return tuple(bool(b) for b in self._chunk(c)[0][i])
+
+    def next_flip(self, j: int) -> int:
+        """First thread ``>= j`` whose realisation is not the
+        deterministic one, or ``n``."""
+        if not self._coin:
+            return self._n
+        c = j // _DRAW_CHUNK
+        self._drop_before(c)
+        while c * _DRAW_CHUNK < self._n:
+            odd = self._chunk(c)[1]
+            k = bisect_left(odd, j)
+            if k < len(odd):
+                return odd[k]
+            c += 1
+        return self._n
+
+
+class _TransitionMemo:
+    """The event loop as a state machine over normalised thread states.
+
+    The state before thread ``j`` is everything the thread reads, taken
+    relative to ``prev_start``: ``core_free`` rotated so that core
+    ``j % ncore`` comes first, ``prev_commit``, and ``(start, finish,
+    issue pattern id)`` of threads ``j-1 .. j-max_dist`` (``None`` before
+    thread 0).  With the thread's realisation it determines the thread's
+    execution up to a translation by ``prev_start``, and the translation
+    is exact: every keyed value is an integral float, and ``limit``
+    keeps the absolute values, plus the hop latencies and overheads a
+    thread adds to them, below 2**52, where ``+``, ``-``, ``max`` and
+    ``//`` on integral floats never round.  A state or transition that
+    fails those checks is not recorded.
+    """
+
+    def __init__(self, max_dist: int, arch: ArchConfig) -> None:
+        self.max_dist = max_dist
+        self.ncore = arch.ncore
+        self.limit = _EXACT - (max_dist * arch.reg_comm_latency
+                               + arch.spawn_overhead + arch.commit_overhead
+                               + arch.invalidation_overhead)
+        self.states: list[tuple] = []
+        #: largest keyed magnitude of each state
+        self.mags: list[float] = []
+        self._ids: dict[tuple, int] = {}
+        self.patterns: list[list[float]] = []
+        self._pattern_ids: dict[tuple, int] = {}
+        #: (state, realisation) -> (next state, start shift, stall,
+        #: restarts, wasted cycles, squashed threads, next state's mag)
+        self.transitions: dict[tuple[int, tuple[bool, ...]], tuple] = {}
+        #: state -> (its deterministic cycle, position on it)
+        self.cycles: dict[int, tuple] = {}
+
+    def _intern(self, key: tuple, base: float) -> int | None:
+        cf, pc, threads = key
+        values = [*cf, pc]
+        for entry in threads:
+            if entry is not None:
+                values += entry[:2]
+        mag = max(abs(v) for v in values)
+        if abs(base) + mag >= self.limit \
+                or not all(v.is_integer() for v in values):
+            return None
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = len(self.states)
+            self._ids[key] = sid
+            self.states.append(key)
+            self.mags.append(mag)
+        return sid
+
+    def initial(self, core_free: list[float], prev_commit: float,
+                base: float) -> int | None:
+        """The state before thread 0."""
+        return self._intern((tuple(c - base for c in core_free),
+                             prev_commit - base, (None,) * self.max_dist),
+                            base)
+
+    def record(self, state: int, realisation: tuple[bool, ...],
+               base: float, timing: ThreadTiming, commit: float,
+               restarts: int, wasted: float, squashed: int) -> int | None:
+        """Memoise the committed thread that left ``state`` (entered at
+        ``prev_start = base``); returns the next state, or ``None`` when
+        the transition cannot be replayed exactly."""
+        if len(self.transitions) >= _MEMO_MAX:
+            return None
+        pattern = tuple(timing.issue_rel)
+        pid = self._pattern_ids.get(pattern)
+        if pid is None:
+            if not all(v.is_integer() for v in pattern):
+                return None
+            pid = len(self.patterns)
+            self._pattern_ids[pattern] = pid
+            self.patterns.append(list(pattern))
+        new_base = timing.start
+        shift = new_base - base
+        stall = timing.total_stall
+        if not (shift.is_integer() and stall.is_integer()
+                and wasted.is_integer()):
+            return None
+        cf, _pc, threads = self.states[state]
+        rel_commit = commit - new_base
+        moved = tuple(None if e is None else (e[0] - shift, e[1] - shift,
+                                              e[2])
+                      for e in threads[:self.max_dist - 1])
+        key = (tuple(c - shift for c in cf[1:]) + (rel_commit,),
+               rel_commit,
+               (((0.0, timing.finish - new_base, pid),) + moved)
+               [:self.max_dist])
+        nxt = self._intern(key, new_base)
+        if nxt is not None:
+            self.transitions[(state, realisation)] = (
+                nxt, shift, stall, restarts, wasted, squashed,
+                self.mags[nxt])
+        return nxt
+
+    def restore(self, state: int, base: float, j: int
+                ) -> tuple[dict[int, ThreadTiming], list[float], float]:
+        """The event loop's ``(timings, core_free, prev_commit)`` before
+        thread ``j`` in ``state`` at ``prev_start = base``."""
+        cf, pc, threads = self.states[state]
+        core_free = [0.0] * self.ncore
+        for i, c in enumerate(cf):
+            core_free[(j + i) % self.ncore] = base + c
+        timings = {}
+        for d, entry in enumerate(threads, 1):
+            if entry is not None:
+                # a committed producer's stall is never read again
+                timings[j - d] = ThreadTiming(
+                    start=base + entry[0], issue_rel=self.patterns[entry[2]],
+                    total_stall=0.0, finish=base + entry[1])
+        return timings, core_free, base + pc
+
+    def close_cycle(self, state: int, realisation: tuple[bool, ...]) -> None:
+        """Register the cycle of transitions under ``realisation``
+        that leads from ``state`` back to it, with prefix sums over two
+        laps so :meth:`advance` can start anywhere on it."""
+        states = [state]
+        while True:
+            nxt = self.transitions[(states[-1], realisation)][0]
+            if nxt == state:
+                break
+            states.append(nxt)
+        length = len(states)
+        prefix = [(0.0, 0.0, 0, 0.0, 0)]
+        mag = 0.0
+        for t in range(2 * length):
+            _nxt, *sums, d_mag = self.transitions[
+                (states[t % length], realisation)]
+            prefix.append(tuple(a + b for a, b in zip(prefix[-1], sums)))
+            mag = max(mag, d_mag)
+        cycle = (states, prefix, mag)
+        for pos, s in enumerate(states):
+            self.cycles[s] = (cycle, pos)
+
+    def advance(self, state: int, m: int) -> tuple:
+        """``(state, shift, stall, restarts, wasted, squashed, mag)``
+        after ``m`` threads round the registered cycle through
+        ``state``: the state reached, the summed per-thread
+        contributions (whole laps plus a partial one, exact in integral
+        floats) and the cycle's largest keyed magnitude."""
+        (states, prefix, mag), pos = self.cycles[state]
+        laps, rest = divmod(m, len(states))
+        full, a, b = prefix[len(states)], prefix[pos], prefix[pos + rest]
+        return (states[(pos + rest) % len(states)],
+                *(laps * f + (y - x) for f, x, y in zip(full, a, b)), mag)
 
 
 class SpMTSimulator:
@@ -93,9 +321,6 @@ class SpMTSimulator:
         # previous run's rng position or a stale template's load set.
         self._cache_rng: np.random.Generator | None = None
         self._load_indices: list[int] | None = None
-        #: no-stall shortcut hit diagnostics (reset per run)
-        self._fast_calls = 0
-        self._fast_hits = 0
         #: relative-arrival memo of the vectorised executor (reset per run)
         self._resolve_cache: dict[bytes, tuple[list[float], float, float]] = {}
 
@@ -118,14 +343,13 @@ class SpMTSimulator:
     def _run(self) -> SimStats:
         arch = self.arch
         n = self.sim.iterations
+        max_events = self.sim.max_events
         template = self.template
         realisations = RealisationTable(template, self.sim.seed)
         # re-derive perturbation state per run (satellite fix: a reused
         # simulator must not see a previous run's rng position)
         self._cache_rng = None
         self._load_indices = None
-        self._fast_calls = 0
-        self._fast_hits = 0
         self._resolve_cache = {}
 
         stats = SimStats(iterations=n, ncore=arch.ncore,
@@ -142,11 +366,9 @@ class SpMTSimulator:
         # kernel distances are immutable for the run, so the retention
         # horizon is a loop constant (previously re-scanned every
         # iteration)
-        max_hops = max(
-            max((ch.hops for ch in template.channels), default=1),
-            max((k for (_x, _y, k, _p) in template.speculated), default=1),
-        )
-        retention = max_hops + arch.ncore + 1
+        distances = [ch.hops for ch in template.channels]
+        distances += [k for (_x, _y, k, _p) in template.speculated]
+        retention = max([1, *distances]) + arch.ncore + 1
 
         # the vectorised resolver replaces the scalar one whenever nothing
         # needs the scalar loop's side channels (per-RECV stall logs, cache
@@ -155,38 +377,115 @@ class SpMTSimulator:
         vectorise = (not self._exact and not tracer.enabled
                      and arch.l1_miss_rate <= 0.0
                      and cls._perturb_arrivals is SpMTSimulator._perturb_arrivals)
-        # the steady-state fast-forward additionally needs every thread to
-        # be deterministic and unrecorded: no per-thread records, no fault
-        # hooks of any kind
-        detector = None
+        # the transition memo additionally needs every thread to be
+        # deterministic and unrecorded (no per-thread records, no fault
+        # hooks of any kind) and translation-invariant: with integral
+        # overheads every value the loop computes is an integral float
+        overheads = (arch.spawn_overhead, arch.commit_overhead,
+                     arch.invalidation_overhead, arch.reg_comm_latency)
+        memo: _TransitionMemo | None = None
+        realised = realisations.realised
         if vectorise and not trace \
                 and cls._start_delay is SpMTSimulator._start_delay \
-                and cls._inject_violation is SpMTSimulator._inject_violation:
-            candidate = SteadyStateDetector(template, arch, n)
-            if candidate.viable:
-                detector = candidate
-                retention = max(retention, detector.retention)
+                and cls._inject_violation is SpMTSimulator._inject_violation \
+                and all(float(x).is_integer() for x in overheads):
+            memo = _TransitionMemo(max([0, *distances]), arch)
+            draws = _BatchedRealisations(realisations, n)
+            realised = draws.realised
+            det = draws.det
+            transitions = memo.transitions
+            cycles = memo.cycles
+            limit = memo.limit
+            state = memo.initial(core_free, prev_commit, prev_start)
+            if state is None:
+                memo = None
+        base = prev_start
+        # the squash estimate's cap n - 1 - j binds from here on
+        tail = n - (arch.ncore - 1)
+        #: state -> thread at which it was entered, over the current run
+        #: of deterministic realisations
+        orbit: dict[int, int] = {}
+        #: next thread with a coin-flip realisation (refreshed lazily)
+        flip = -1
+        #: whether the loop variables hold the memo state's absolute form
+        synced = True
         fastforwards = 0
-        fastforwarded_threads = 0
+        skipped = 0
 
         j = 0
         while j < n:
-            if detector is not None:
-                ff = detector.attempt(j, timings, realisations)
-                if ff is not None:
-                    stats.sync_stall_cycles += ff.stall_cycles
-                    stats.misspeculations += ff.misspeculations
-                    stats.squashed_threads += ff.squashed_threads
-                    stats.wasted_execution_cycles += ff.wasted_cycles
-                    stats.invalidation_cycles += ff.invalidation_cycles
-                    timings = ff.timings
-                    prev_start = ff.prev_start
-                    prev_commit = ff.prev_commit
-                    core_free = ff.core_free
-                    fastforwards += 1
-                    fastforwarded_threads += ff.skipped
-                    j = ff.target
-                    continue
+            if memo is not None:
+                if j < tail:
+                    if flip < j:
+                        flip = draws.next_flip(j)
+                    if j < flip:
+                        realisation = det
+                        if state not in cycles:
+                            if state in orbit:
+                                # the deterministic chain came back
+                                memo.close_cycle(state, det)
+                                orbit.clear()
+                            else:
+                                orbit[state] = j
+                        if state in cycles:
+                            # the chain goes round its cycle until the
+                            # next coin flip: jump there
+                            m = min(flip, tail) - j
+                            nxt, shift, stall, restarts, wasted, squashed, \
+                                mag = memo.advance(state, m)
+                            inval = restarts * arch.invalidation_overhead
+                            # the sums replace m sequential additions of
+                            # integral values: equal while all stay exact
+                            if events + m + restarts <= max_events \
+                                    and abs(base) + shift + mag < limit \
+                                    and max(stats.sync_stall_cycles + stall,
+                                            stats.wasted_execution_cycles
+                                            + wasted,
+                                            stats.invalidation_cycles
+                                            + inval) < _EXACT:
+                                stats.sync_stall_cycles += stall
+                                stats.misspeculations += restarts
+                                stats.invalidation_cycles += inval
+                                stats.wasted_execution_cycles += wasted
+                                stats.squashed_threads += squashed
+                                events += m + restarts
+                                state = nxt
+                                base += shift
+                                j += m
+                                skipped += m
+                                fastforwards += 1
+                                synced = False
+                                continue
+                    else:
+                        realisation = realised(j)
+                        orbit.clear()
+                    hit = transitions.get((state, realisation))
+                    if hit is not None:
+                        nxt, shift, stall, restarts, wasted, squashed, \
+                            mag = hit
+                        if events + 1 + restarts <= max_events \
+                                and abs(base + shift) + mag < limit:
+                            # the reference loop's additions, in its order
+                            events += 1 + restarts
+                            if restarts:
+                                stats.misspeculations += restarts
+                                for _ in range(restarts):
+                                    stats.invalidation_cycles += \
+                                        arch.invalidation_overhead
+                            stats.sync_stall_cycles += stall
+                            stats.wasted_execution_cycles += wasted
+                            stats.squashed_threads += squashed
+                            state = nxt
+                            base += shift
+                            skipped += 1
+                            synced = False
+                            j += 1
+                            continue
+                if not synced:
+                    timings, core_free, prev_commit = memo.restore(
+                        state, base, j)
+                    prev_start = base
+                    synced = True
             core = j % arch.ncore
             start = max(prev_start + arch.spawn_overhead, core_free[core])
             start += self._start_delay(j, core)
@@ -196,9 +495,10 @@ class SpMTSimulator:
             stall_log: list[tuple[int, float, float]] | None = None
             while True:
                 events += 1
-                if events > self.sim.max_events:
+                if events > max_events:
                     raise SimulationError(
-                        f"simulation exceeded max_events={self.sim.max_events}")
+                        f"simulation exceeded max_events={max_events} "
+                        f"at thread {j}")
                 if tracer.enabled:
                     stall_log = []
                     timing = self._execute(j, start, timings,
@@ -208,8 +508,7 @@ class SpMTSimulator:
                 else:
                     timing = self._execute(j, start, timings)
                 timings[j] = timing
-                violation = detect_violation(
-                    template, timings, realisations.realised(j), j)
+                violation = detect_violation(template, timings, realised(j), j)
                 injected = False
                 if violation is None:
                     forced = self._inject_violation(j, core, restarts, timing)
@@ -279,9 +578,13 @@ class SpMTSimulator:
             if tracer.enabled:
                 self._emit_thread_events(tracer, j, core, timings[j],
                                          commit, restarts, stall_log)
-            if detector is not None:
-                detector.observe(j, timings[j], commit, restarts,
-                                 thread_wasted, thread_squashed)
+            if memo is not None and j < tail:
+                state = memo.record(state, realisation, base, timings[j],
+                                    commit, restarts, thread_wasted,
+                                    thread_squashed)
+                if state is None:
+                    memo = None
+                base = prev_start
             # bound memory: drop state no longer reachable by any kernel
             # distance (communication hops or speculated distances)
             horizon = j - retention
@@ -289,17 +592,21 @@ class SpMTSimulator:
                 del timings[horizon]
             j += 1
 
+        if not synced:
+            _timings, _core_free, prev_commit = memo.restore(state, base, n)
         stats.total_cycles = prev_commit
         stats.send_recv_pairs = self.pipelined.comm.pairs_per_iteration * n
         stats.spawn_cycles = arch.spawn_overhead * n
         stats.commit_cycles = arch.commit_overhead * n
-        if fastforwards:
-            metrics.counter(
-                "sim.fastforwards",
-                "steady-state fast-forwards taken").inc(fastforwards)
-            metrics.counter(
-                "sim.fastforward_threads",
-                "threads skipped analytically").inc(fastforwarded_threads)
+        for name, doc, value in (
+                ("sim.fastforwards", "cycle jumps taken by the transition "
+                 "memo", fastforwards),
+                ("sim.fastforward_threads", "threads committed without "
+                 "running the resolver", skipped),
+                ("sim.resolved_threads", "threads committed by running the "
+                 "resolver", n - skipped)):
+            if value:
+                metrics.counter(name, doc).inc(value)
         metrics.counter("sim.runs", "simulations completed").inc()
         metrics.counter("sim.threads", "threads committed").inc(n)
         metrics.counter("sim.violations", "misspeculations detected").inc(
@@ -406,9 +713,7 @@ class SpMTSimulator:
         the scalar resolver.
         """
         template = self.template
-        self._fast_calls += 1
         if template.n_channels == 0:
-            self._fast_hits += 1
             return ThreadTiming.no_stall(template, start)
         arrivals = np.empty(template.n_channels, dtype=np.float64)
         for hops, cis, prod_idx in template.hop_groups:
@@ -425,7 +730,6 @@ class SpMTSimulator:
         rel = arrivals - start
         exceed = rel > template.base_cons_issue
         if not exceed.any():
-            self._fast_hits += 1
             return ThreadTiming.no_stall(template, start)
         # the resolver is shift-invariant: the relative-arrival vector is
         # its complete input, and steady/violation-periodic regimes (and

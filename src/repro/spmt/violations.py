@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import KernelTimingTemplate, ThreadTiming
 
-__all__ = ["RealisationTable", "detect_violation", "manifest_violations"]
+__all__ = ["RealisationTable", "detect_violation"]
 
 
 class RealisationTable:
@@ -39,7 +39,7 @@ class RealisationTable:
         self._cache: dict[int, tuple[bool, ...]] = {}
         self._probs = np.array(
             [p for (_x, _y, _k, p) in template.speculated], dtype=np.float64)
-        # most recent batch draw (fast-path skip scans): first thread
+        # most recent batch draw (the simulator's fast path): first thread
         # index plus the boolean realisation matrix for its thread range.
         self._block_first = 0
         self._block: np.ndarray | None = None
@@ -131,28 +131,3 @@ def detect_violation(template: KernelTimingTemplate,
                 worst = (idx, produced)
     return worst
 
-
-def manifest_violations(template: KernelTimingTemplate,
-                        timings: dict[int, ThreadTiming],
-                        thread: int) -> list[int]:
-    """Dependence indices that WOULD violate for ``thread`` if they
-    manifested — :func:`detect_violation`'s timing condition evaluated
-    under an all-manifest realisation.
-
-    The steady-state fast path uses this to classify each dependence at
-    each period offset: an empty list at every offset proves no
-    realisation can produce a violation, and a non-empty one marks the
-    dependences whose Bernoulli draws must be scanned before skipping.
-    """
-    out: list[int] = []
-    cons = timings[thread]
-    for idx, (x, y, k, _p) in enumerate(template.speculated):
-        producer_thread = thread - k
-        if producer_thread < 0:
-            continue
-        prod = timings.get(producer_thread)
-        if prod is None:
-            continue
-        if cons.issue_time(template, y) < prod.completion_time(template, x):
-            out.append(idx)
-    return out

@@ -1,17 +1,24 @@
-"""Steady-state fast path: differential oracle, detector gating, and the
-event-loop bugfixes that rode along (spawn-chain estimate, lazy cache rng).
+"""Memoised fast path: differential oracle, memo gating, and the
+event-loop bugfixes that rode along (spawn-chain estimate, lazy cache rng,
+the event bound).
 """
+
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from repro.config import ArchConfig, SimConfig
+from repro.errors import SimulationError
+from repro.graph import build_ddg
+from repro.machine import LatencyModel, ResourceModel
 from repro.obs import metrics
 from repro.sched import run_postpass, schedule_sms, schedule_tms
 from repro.spmt import simulate
-from repro.spmt.fastpath import SteadyStateDetector
 from repro.spmt.sim import SpMTSimulator
 from repro.spmt.violations import RealisationTable
+from repro.workloads.specfp import SPECFP_BENCHMARKS, generate_benchmark_loops
 
 
 @pytest.fixture
@@ -103,25 +110,123 @@ def test_trace_records_identical_and_disable_fastforward(fig1_pipelined_sms,
     assert traced == exact
 
 
-# -- detector gating ---------------------------------------------------------
+# -- memo gating -------------------------------------------------------------
+
+
+def _thread_counts():
+    return {name: metrics.counter(name, "").value
+            for name in ("sim.resolved_threads", "sim.fastforward_threads",
+                         "sim.fastforwards")}
+
+
+def _counted(pipelined, arch, sim):
+    """``(stats, counter deltas)`` of one default-path run."""
+    before = _thread_counts()
+    stats = simulate(pipelined, arch, sim)
+    after = _thread_counts()
+    return stats, {k: after[k] - before[k] for k in after}
 
 
 def test_detector_rejects_fractional_spawn(fig1_pipelined_sms):
-    sim = SpMTSimulator(fig1_pipelined_sms, ArchConfig(spawn_overhead=1.5))
-    det = SteadyStateDetector(sim.template, sim.arch, 10_000)
-    assert not det.viable
+    """A fractional C_spn makes timings fractional, so no state is
+    translation-exact: the memo stays off and every thread runs through
+    the resolver."""
+    arch = ArchConfig(spawn_overhead=1.5)
+    _stats, counts = _counted(fig1_pipelined_sms, arch,
+                              SimConfig(iterations=800, seed=2))
+    assert counts == {"sim.resolved_threads": 800,
+                      "sim.fastforward_threads": 0, "sim.fastforwards": 0}
 
 
 def test_fractional_spawn_still_matches_exact(fig1_pipelined_tms):
     arch = ArchConfig(spawn_overhead=1.5)
-    fast, exact = _both(fig1_pipelined_tms, arch, iterations=800, seed=2)
+    fast, counts = _counted(fig1_pipelined_tms, arch,
+                            SimConfig(iterations=800, seed=2))
+    assert counts["sim.fastforward_threads"] == 0
+    assert fast == simulate(fig1_pipelined_tms, arch,
+                            SimConfig(iterations=800, seed=2, exact=True))
+
+
+def test_counters_partition_threads(fig1_pipelined_tms, arch):
+    """Every committed thread is either resolved or replayed, and a long
+    run of a kernel with coin-flip dependences takes cycle jumps."""
+    stats, counts = _counted(fig1_pipelined_tms, arch,
+                             SimConfig(iterations=5000, seed=3))
+    assert counts["sim.resolved_threads"] \
+        + counts["sim.fastforward_threads"] == 5000
+    assert counts["sim.fastforward_threads"] > counts["sim.resolved_threads"]
+    assert counts["sim.fastforwards"] > 0
+    assert stats.misspeculations > 0
+
+
+@lru_cache(maxsize=None)
+def _specfp_kernel(name: str, alg: str, ncore: int):
+    arch = replace(ArchConfig.paper_default(), ncore=ncore)
+    resources = ResourceModel.default(arch.issue_width)
+    latency = LatencyModel.for_arch(arch)
+    loop = next(loop for spec in SPECFP_BENCHMARKS
+                for loop in generate_benchmark_loops(spec, 4)
+                if loop.name == name)
+    ddg = build_ddg(loop, latency)
+    sched = schedule_sms(ddg, resources) if alg == "SMS" \
+        else schedule_tms(ddg, resources, arch)
+    return run_postpass(sched, arch), arch
+
+
+#: speculative kernels: art_loop3/SMS has a p = 1 dependence violating
+#: almost every thread, the others coin-flip dependences
+_SPECULATIVE = ["art_loop3/SMS", "swim_loop2/SMS", "applu_loop3/SMS",
+                "ammp_loop0/SMS", "facerec_loop1/TMS"]
+
+
+@pytest.mark.parametrize("ncore", [2, 4, 8])
+@pytest.mark.parametrize("iterations", [250, 3000])
+@pytest.mark.parametrize("kernel", _SPECULATIVE)
+def test_speculative_specfp_kernels_match_exact(kernel, iterations, ncore):
+    pipelined, arch = _specfp_kernel(*kernel.split("/"), ncore)
+    fast, exact = _both(pipelined, arch, iterations=iterations)
+    assert exact.misspeculations > 0
     assert fast == exact
 
 
-def test_detector_period_multiple_of_ncore(fig1_pipelined_sms, arch):
-    sim = SpMTSimulator(fig1_pipelined_sms, arch)
-    det = SteadyStateDetector(sim.template, arch, 10_000)
-    assert all(p % arch.ncore == 0 for p in det.candidates)
+@pytest.mark.parametrize("ncore", [2, 4, 8])
+@pytest.mark.parametrize("iterations", [97, 98, 99, 100])
+def test_violations_in_tail_threads_match_exact(iterations, ncore):
+    """art_loop3/SMS violates on every thread after the first, and each
+    violation squashes one more speculative thread — except on the last
+    thread, whose squash cap ``n - 1 - j`` is 0.  The tail threads must
+    therefore not replay transitions recorded earlier in the run."""
+    pipelined, arch = _specfp_kernel("art_loop3", "SMS", ncore)
+    probs = [p for (_x, _y, _k, p)
+             in SpMTSimulator(pipelined, arch).template.speculated]
+    assert 1.0 in probs
+    fast, exact = _both(pipelined, arch, iterations=iterations)
+    assert exact.misspeculations == iterations - 1
+    assert exact.squashed_threads == 2 * exact.misspeculations - 1
+    assert fast == exact
+
+
+def _raised(pipelined, arch, sim) -> str:
+    with pytest.raises(SimulationError, match="max_events") as info:
+        simulate(pipelined, arch, sim)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kernel", ["mesa_loop3/SMS", "art_loop3/SMS"])
+def test_max_events_bounds_the_fast_path(kernel):
+    """Replayed and jumped threads count ``1 + restarts`` events each, so
+    the default path raises at the thread the reference loop raises at."""
+    pipelined, arch = _specfp_kernel(*kernel.split("/"), 4)
+    n = 10_000
+    exact = simulate(pipelined, arch, SimConfig(iterations=n, exact=True))
+    needed = n + exact.misspeculations
+    for bound in (5_000, needed - 1):
+        messages = {_raised(pipelined, arch, SimConfig(
+            iterations=n, max_events=bound, exact=exact_mode))
+            for exact_mode in (False, True)}
+        assert len(messages) == 1, messages
+    assert simulate(pipelined, arch, SimConfig(
+        iterations=n, max_events=needed)) == exact
 
 
 # -- realisation block draws -------------------------------------------------

@@ -4,7 +4,7 @@
 event loop** (``SimConfig(exact=True)``); this test replays every pinned
 kernel through the **default** vectorised/fast-forward path and demands
 byte-identical :meth:`SimStats.to_dict` rows.  Any fidelity drift in the
-steady-state fast path — or any intended change to the simulator's cost
+memoised fast path — or any intended change to the simulator's cost
 model — therefore surfaces as a review-able diff of the golden file
 (regenerate via ``scripts/regen_sim_golden.py``), never as silent
 corruption of the paper's numbers.
