@@ -30,6 +30,7 @@ from typing import Any, Sequence
 
 from ..errors import MachineError
 from ..obs import metrics
+from ..obs.schema import check_schema
 from .space import ParameterSpace
 from .trial import TrialResult
 
@@ -261,30 +262,5 @@ def write_report_json(report: SweepReport, path: str | os.PathLike) -> None:
 def validate_dse_report_dict(data: dict[str, Any]) -> None:
     """Check a report dict against :data:`DSE_REPORT_SCHEMA`; raises
     ``ValueError`` on a missing key or mistyped value."""
-    if data.get("schema_version") != REPORT_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {data.get('schema_version')!r} "
-            f"(expected {REPORT_VERSION})")
-
-    def check(obj: dict, schema: dict, path: str) -> None:
-        for key, expected in schema.items():
-            if key not in obj:
-                raise ValueError(f"report missing key {path}{key!r}")
-            value = obj[key]
-            if isinstance(expected, dict) and key in ("trials", "pareto"):
-                if not isinstance(value, list):
-                    raise ValueError(f"{path}{key!r} must be a list")
-                for i, row in enumerate(value):
-                    if not isinstance(row, dict):
-                        raise ValueError(
-                            f"{path}{key}[{i}] must be an object")
-                    check(row, expected, f"{path}{key}[{i}].")
-            elif isinstance(expected, dict) and expected:
-                if not isinstance(value, dict):
-                    raise ValueError(f"{path}{key!r} must be an object")
-            elif not isinstance(value, expected if expected is not dict
-                                else dict):
-                raise ValueError(
-                    f"{path}{key!r} must be {expected.__name__}, got "
-                    f"{type(value).__name__}")
-    check(data, DSE_REPORT_SCHEMA, "")
+    check_schema(data, DSE_REPORT_SCHEMA, version=REPORT_VERSION,
+                 noun="report", list_keys=("trials", "pareto"))

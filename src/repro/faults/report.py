@@ -20,6 +20,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..obs.schema import check_schema
+
 __all__ = [
     "CHAOS_REPORT_SCHEMA",
     "ChaosReport",
@@ -205,43 +207,8 @@ def validate_chaos_report_dict(data: dict[str, Any]) -> None:
     """Check ``data`` against :data:`CHAOS_REPORT_SCHEMA`; raises
     ``ValueError`` on a missing key or mistyped value (the golden-schema
     gate in CI)."""
-    def check(obj: dict, schema: dict, path: str) -> None:
-        for key, expected in schema.items():
-            if key not in obj:
-                raise ValueError(f"report missing key {path}{key!r}")
-            value = obj[key]
-            if isinstance(expected, dict) and key == "rows":
-                if not isinstance(value, list):
-                    raise ValueError(f"{path}{key!r} must be a list")
-                for i, row in enumerate(value):
-                    if not isinstance(row, dict):
-                        raise ValueError(f"{path}rows[{i}] must be an object")
-                    check(row, expected, f"{path}rows[{i}].")
-            elif isinstance(expected, dict):
-                if not isinstance(value, dict):
-                    raise ValueError(f"{path}{key!r} must be an object")
-                check(value, expected, f"{path}{key}.")
-            elif expected is float:
-                if not isinstance(value, (int, float)) \
-                        or isinstance(value, bool):
-                    raise ValueError(
-                        f"{path}{key!r} must be a number, got "
-                        f"{type(value).__name__}")
-            elif expected is bool:
-                if not isinstance(value, bool):
-                    raise ValueError(
-                        f"{path}{key!r} must be bool, got "
-                        f"{type(value).__name__}")
-            elif not isinstance(value, expected) or isinstance(value, bool) \
-                    and expected is int:
-                raise ValueError(
-                    f"{path}{key!r} must be {expected.__name__}, got "
-                    f"{type(value).__name__}")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {data.get('schema_version')!r} "
-            f"(expected {SCHEMA_VERSION})")
-    check(data, CHAOS_REPORT_SCHEMA, "")
+    check_schema(data, CHAOS_REPORT_SCHEMA, version=SCHEMA_VERSION,
+                 noun="report", list_keys=("rows",))
 
 
 def write_chaos_report_json(report: ChaosReport,

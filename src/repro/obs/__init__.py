@@ -25,6 +25,9 @@ the cost-model-vs-simulator discrepancy report.
 * :mod:`repro.obs.report` — the :class:`DiscrepancyReport` comparing
   the Section 4.2 cost model's predicted ``T`` against simulated
   ``total_cycles`` per kernel (built by ``tms-experiments validate``).
+* :mod:`repro.obs.schema` — :func:`~repro.obs.schema.check_schema`, the
+  golden-schema gate behind every ``validate_*_dict`` of a versioned
+  report (ledger, discrepancy, DSE, chaos and serve-chaos reports).
 
 See ``docs/observability.md`` for metric names, the event schema and
 the trace-export workflow.

@@ -6,16 +6,16 @@ in-flight computation, a persistent warm worker pool answers repeat
 work without process-spawn or recompile cost, and bounded admission
 control turns overload into typed rejections instead of queue
 collapse.  The self-healing layer wraps it: a supervisor restarts a
-crashed or hung daemon, a write-ahead request journal replays
-incomplete work after the restart, a health state machine sheds load
-before collapse, and the hardened client retries with backoff behind a
+crashed or hung daemon, the result cache keeps completed responses in
+the session's disk tier (``REPRO_CACHE_DIR``) so a restarted daemon
+answers them from cache, a health state machine sheds load before
+collapse, and the hardened client retries with backoff behind a
 circuit breaker.  See ``docs/serving.md``.
 
 Layers (each importable alone):
 
 - :mod:`~repro.serve.protocol` — wire schema, fingerprints, exit codes
 - :mod:`~repro.serve.broker` — coalescing, admission control, execution
-- :mod:`~repro.serve.journal` — crash-safe request WAL + replay
 - :mod:`~repro.serve.resilience` — backoff, circuit breaker, health
   machine, supervisor
 - :mod:`~repro.serve.server` — stdlib HTTP front end + signal handling
@@ -27,7 +27,6 @@ Layers (each importable alone):
 
 from .broker import BrokerConfig, RequestBroker, execute_request
 from .client import ServeClient, SubmitOutcome, wait_ready
-from .journal import JournalReplay, RequestJournal, read_journal
 from .protocol import (
     EXIT_ERROR,
     EXIT_OK,
@@ -59,10 +58,8 @@ __all__ = [
     "HEALTH_STATES",
     "HealthPolicy",
     "HealthReport",
-    "JournalReplay",
     "PROTOCOL_VERSION",
     "RequestBroker",
-    "RequestJournal",
     "ServeClient",
     "ServeDaemon",
     "ServeRequest",
@@ -70,7 +67,6 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "execute_request",
-    "read_journal",
     "response_bytes",
     "wait_ready",
 ]

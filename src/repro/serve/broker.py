@@ -8,7 +8,8 @@ submit`, which walks the admission pipeline:
    submission with a typed ``draining`` rejection;
 2. **result cache** — a completed identical request (same work
    fingerprint) is answered from a bounded LRU of past responses
-   without touching the queue (``serve.result_hits``);
+   (plus its disk tier, when the session has one) without touching the
+   queue (``serve.result_hits``);
 3. **coalescing** — an *in-flight* identical request adopts the
    existing job: the waiter blocks on the same event and receives the
    exact same response object (``serve.coalesce_hits``), so N
@@ -34,12 +35,11 @@ byte-for-byte.
 
 Two resilience hooks wrap the pipeline (see docs/serving.md):
 
-* a :class:`~repro.serve.journal.RequestJournal` (when configured)
-  records every admission before execution and every completion after,
-  so a crashed daemon replays incomplete work on restart — completed
-  responses are *restored* into the result cache, admitted-but-
-  unfinished requests are *recovered* by re-executing them, and
-  unparseable entries are *abandoned* (``/stats`` → ``journal``);
+* when the session has a disk tier (``REPRO_CACHE_DIR``), the result
+  cache keeps completed responses on disk too, under ``responses/``
+  (an :class:`~repro.session.cache.ArtifactCache` whose writes are
+  fsync'd before the rename), so a restarted daemon answers a
+  resubmitted completed request from cache instead of recomputing it;
 * a :class:`~repro.serve.resilience.HealthPolicy` folds queue pressure,
   worker-pool rebuilds and the recent deadline-miss rate into an
   ``ok → degraded → draining`` state (``/healthz``); when degradation
@@ -61,12 +61,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..config import ArchConfig
-from ..errors import ProtocolError, TaskTimeout
+from ..errors import TaskTimeout
 from ..obs import metrics
 from ..obs.spans import span
 from ..session import Session
 from ..session.cache import MISS, ArtifactCache
-from .journal import RequestJournal, read_journal
 from .protocol import (
     ServeRequest,
     compile_result_dict,
@@ -161,19 +160,16 @@ class _Job:
     """One admitted unit of work and everyone waiting on it."""
 
     __slots__ = ("request", "fingerprint", "admitted_at", "response",
-                 "served", "done", "replay")
+                 "served", "done")
 
     def __init__(self, request: ServeRequest, fingerprint: str,
-                 admitted_at: float, *, replay: bool = False) -> None:
+                 admitted_at: float) -> None:
         self.request = request
         self.fingerprint = fingerprint
         self.admitted_at = admitted_at
         self.response: dict[str, Any] | None = None
         self.served = "computed"
         self.done = threading.Event()
-        #: journal-replay job: no external waiter, recovered/abandoned
-        #: accounting instead of request tallies
-        self.replay = replay
 
 
 class RequestBroker:
@@ -184,7 +180,9 @@ class RequestBroker:
     session:
         The compile/simulate context every job runs against.  Defaults
         to a fresh persistent session (warm worker pool; call
-        :meth:`stop` to release it).
+        :meth:`stop` to release it).  When the session's artifact cache
+        has a disk tier, completed responses persist under its
+        ``responses/`` subdirectory with the same size cap.
     config:
         Admission/execution knobs (:class:`BrokerConfig`).
     execute:
@@ -194,13 +192,18 @@ class RequestBroker:
 
     def __init__(self, session: Session | None = None,
                  config: BrokerConfig | None = None, *,
-                 execute: Callable[..., dict[str, Any]] | None = None,
-                 journal: RequestJournal | None = None) -> None:
+                 execute: Callable[..., dict[str, Any]] | None = None
+                 ) -> None:
         self.session = session if session is not None \
             else Session(persistent=True)
         self.config = config or BrokerConfig()
         self._execute = execute or execute_request
-        self._results = ArtifactCache(maxsize=self.config.result_cache_size)
+        disk_dir = self.session.cache.disk_dir
+        self._results = ArtifactCache(
+            maxsize=self.config.result_cache_size,
+            disk_dir=disk_dir / "responses" if disk_dir is not None
+            else None,
+            max_disk_mb=self.session.cache.max_disk_mb)
         self._queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
         self._in_flight: dict[str, _Job] = {}
         self._lock = threading.Lock()
@@ -208,16 +211,11 @@ class RequestBroker:
         self._threads: list[threading.Thread] = []
         self._draining = False
         self._stopped = False
-        self.journal = journal
-        self._recovered_once = False
         #: recent executed-job outcomes paired with the pool-rebuild
         #: counter at completion — the health machine's sliding window
         self._recent: collections.deque[tuple[str, int]] = \
             collections.deque(maxlen=self.config.health.window)
         self._rebuilds_baseline = self._pool_rebuilds_now()
-        #: journal-replay tallies, surfaced in ``/stats`` under "journal"
-        self.journal_counts = {"restored": 0, "recovered": 0,
-                               "abandoned": 0}
         #: exact submission-outcome tallies (mirrored into ``serve.*``
         #: registry metrics; kept locally too so summaries never race)
         self.counts = {
@@ -235,8 +233,7 @@ class RequestBroker:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "RequestBroker":
-        """Spawn the executor threads (idempotent) and, on the first
-        start with a journal, replay it."""
+        """Spawn the executor threads (idempotent)."""
         with self._lock:
             if self._threads or self._stopped:
                 return self
@@ -245,7 +242,6 @@ class RequestBroker:
                                      name=f"serve-exec-{i}", daemon=True)
                 t.start()
                 self._threads.append(t)
-        self._recover()
         return self
 
     @staticmethod
@@ -254,46 +250,6 @@ class RequestBroker:
         # serve-vs-direct metric totals diverge when no pool ever broke
         inst = metrics.get_registry().get("runner.pool_rebuilds")
         return inst.value if inst is not None else 0
-
-    def _recover(self) -> None:
-        """Journal replay (once): restore completed responses into the
-        result cache, re-execute incomplete admitted work, abandon what
-        cannot be replayed, then compact the journal."""
-        if self.journal is None or self._recovered_once:
-            return
-        self._recovered_once = True
-        replay = read_journal(self.journal.path)
-        for fingerprint, response in replay.completed.items():
-            self._results.put(fingerprint, response)
-        self.journal_counts["restored"] = len(replay.completed)
-        metrics.counter("serve.journal.restored",
-                        "completed responses restored into the result "
-                        "cache on restart").inc(len(replay.completed))
-        self.journal.compact(replay.completed)
-        for payload in replay.incomplete.values():
-            try:
-                request = ServeRequest.from_dict(payload)
-            except ProtocolError:
-                self._abandon()
-                continue
-            # recompute the fingerprint: the journaled one may predate a
-            # version bump, and replayed results must answer *new* requests
-            fingerprint = request.fingerprint()
-            with self._lock:
-                if fingerprint in self._in_flight:
-                    continue
-                job = _Job(request, fingerprint, time.monotonic(),
-                           replay=True)
-                self._in_flight[fingerprint] = job
-            # re-arm the WAL: a crash during replay still recovers
-            self.journal.admitted(fingerprint, request.to_dict())
-            self._queue.put(job)
-
-    def _abandon(self) -> None:
-        with self._lock:
-            self.journal_counts["abandoned"] += 1
-        metrics.counter("serve.journal.abandoned",
-                        "journaled work that could not be replayed").inc()
 
     @property
     def draining(self) -> bool:
@@ -408,11 +364,6 @@ class RequestBroker:
                             "requests coalesced onto an in-flight "
                             "identical job").inc()
         else:
-            # WAL discipline: the admission hits the journal *before*
-            # the job can execute, so a crash between here and the
-            # completion record replays the work on restart
-            if self.journal is not None:
-                self.journal.admitted(fingerprint, request.to_dict())
             self._queue.put(job)
         self.start()
         deadline = request.deadline_seconds \
@@ -514,20 +465,6 @@ class RequestBroker:
             metrics.counter("serve.completed",
                             "requests executed to completion").inc()
             self._results.put(job.fingerprint, response)
-        if self.journal is not None:
-            self.journal.completed(
-                job.fingerprint, response["status"],
-                response if outcome == "ok" else None)
-        if job.replay:
-            if outcome == "ok":
-                with self._lock:
-                    self.journal_counts["recovered"] += 1
-                metrics.counter(
-                    "serve.journal.recovered",
-                    "journaled incomplete requests re-executed on "
-                    "restart").inc()
-            else:
-                self._abandon()
         job.response = response
 
     # -- reporting -----------------------------------------------------------
@@ -543,12 +480,7 @@ class RequestBroker:
             counts = dict(self.counts)
             depth = len(self._in_flight)
             health = self._health_locked()
-            journal_counts = dict(self.journal_counts)
         stats = self.session.stats
-        journal: dict[str, Any] | None = None
-        if self.journal is not None:
-            journal = self.journal.stats_dict()
-            journal.update(journal_counts)
         return {
             "draining": self._draining,
             "health": health.to_dict(),
@@ -556,7 +488,6 @@ class RequestBroker:
             "max_queue_depth": self.config.max_queue_depth,
             "workers": self.config.workers,
             "counts": counts,
-            "journal": journal,
             "cache": self.session.cache.stats_dict(),
             "result_cache": self._results.stats_dict(),
             "session": {

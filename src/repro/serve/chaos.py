@@ -18,10 +18,10 @@ asserts the two invariants the self-healing layer exists to provide:
 Scenarios (:data:`SERVE_SCENARIOS`):
 
 ``sigkill``
-    A supervised daemon child (real subprocess, request journal on
-    disk) is SIGKILL'd mid-burst; the supervisor restarts it, the
-    journal replays incomplete work into the warm cache, and retrying
-    clients complete.
+    A supervised daemon child (real subprocess, ``REPRO_CACHE_DIR``
+    pointed at a campaign temp directory) is SIGKILL'd mid-burst; the
+    supervisor restarts it, responses completed before the kill come
+    back from the disk cache, and retrying clients resubmit the rest.
 ``conn-reset``
     Submissions flow through a TCP proxy that hard-resets a seeded,
     *budgeted* subset of connections (``SO_LINGER 0``); client retry
@@ -65,9 +65,9 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..faults.campaign import derive_seed
+from ..obs.schema import check_schema
 from .broker import BrokerConfig, RequestBroker, execute_request
 from .client import ServeClient, wait_ready
-from .journal import RequestJournal
 from .protocol import ServeRequest, ok_response, response_bytes
 from .resilience import BackoffPolicy, Supervisor, SupervisorConfig
 
@@ -288,36 +288,8 @@ def validate_serve_chaos_report_dict(data: dict[str, Any]) -> None:
     """Check ``data`` against :data:`SERVE_CHAOS_REPORT_SCHEMA`; raises
     ``ValueError`` on a missing key, mistyped value or unsupported
     schema version (the golden-schema gate in CI)."""
-    def check(obj: dict, schema: dict, path: str) -> None:
-        for key, expected in schema.items():
-            if key not in obj:
-                raise ValueError(f"report missing key {path}{key!r}")
-            value = obj[key]
-            if isinstance(expected, dict) and key == "rows":
-                if not isinstance(value, list):
-                    raise ValueError(f"{path}{key!r} must be a list")
-                for i, row in enumerate(value):
-                    if not isinstance(row, dict):
-                        raise ValueError(f"{path}rows[{i}] must be an object")
-                    check(row, expected, f"{path}rows[{i}].")
-            elif isinstance(expected, dict):
-                if not isinstance(value, dict):
-                    raise ValueError(f"{path}{key!r} must be an object")
-                check(value, expected, f"{path}{key}.")
-            elif expected is bool:
-                if not isinstance(value, bool):
-                    raise ValueError(f"{path}{key!r} must be bool, got "
-                                     f"{type(value).__name__}")
-            elif not isinstance(value, expected) or isinstance(value, bool) \
-                    and expected is int:
-                raise ValueError(
-                    f"{path}{key!r} must be {expected.__name__}, got "
-                    f"{type(value).__name__}")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {data.get('schema_version')!r} "
-            f"(expected {SCHEMA_VERSION})")
-    check(data, SERVE_CHAOS_REPORT_SCHEMA, "")
+    check_schema(data, SERVE_CHAOS_REPORT_SCHEMA, version=SCHEMA_VERSION,
+                 noun="report", list_keys=("rows",))
 
 
 def write_serve_chaos_report_json(report: ServeChaosReport,
@@ -510,14 +482,13 @@ def _row(scenario: str, scenario_seed: int,
 
 # -- scenarios -------------------------------------------------------------------
 
-def _inprocess_daemon(session=None, *, retries: int = 1,
-                      journal: RequestJournal | None = None):
+def _inprocess_daemon(session=None, *, retries: int = 1):
     """An in-process daemon for the transport scenarios (imported here
     to keep module import light)."""
     from .server import ServeDaemon
 
     config = BrokerConfig(retries=retries)
-    broker = RequestBroker(session=session, config=config, journal=journal)
+    broker = RequestBroker(session=session, config=config)
     return ServeDaemon("127.0.0.1", 0, broker=broker).start()
 
 
@@ -578,13 +549,16 @@ def _run_pool_break(*, seed: int, n_requests: int, retries: int,
                 completed, wrong)
 
 
-def _child_environment() -> dict[str, str]:
-    """The daemon child's environment: ours, with the package's import
-    root prepended so ``python -m repro.experiments`` resolves even when
-    the package is used from a source tree rather than installed."""
+def _child_environment(cache_dir: str | os.PathLike) -> dict[str, str]:
+    """The daemon child's environment: ours, with ``REPRO_CACHE_DIR``
+    set to ``cache_dir`` (a restarted child answers completed requests
+    from disk) and the package's import root prepended so ``python -m
+    repro.experiments`` resolves even when the package is used from a
+    source tree rather than installed."""
     import repro
 
     env = dict(os.environ)
+    env["REPRO_CACHE_DIR"] = str(cache_dir)
     package_root = str(Path(repro.__file__).resolve().parents[1])
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = package_root + (os.pathsep + existing
@@ -593,7 +567,7 @@ def _child_environment() -> dict[str, str]:
 
 
 def _run_sigkill(*, seed: int, n_requests: int, retries: int,
-                 journal_dir: str | os.PathLike,
+                 cache_dir: str | os.PathLike,
                  max_unavailable: float, clean_session,
                  notes: list[str], gates: list[str]) -> ServeChaosRow:
     scenario = "sigkill"
@@ -605,8 +579,8 @@ def _run_sigkill(*, seed: int, n_requests: int, retries: int,
     port = _free_port("127.0.0.1")
     argv = [sys.executable, "-m", "repro.experiments", "serve",
             "--host", "127.0.0.1", "--port", str(port),
-            "--retries", "1", "--journal-dir", str(journal_dir)]
-    env = _child_environment()
+            "--retries", "1"]
+    env = _child_environment(cache_dir)
 
     def spawn() -> subprocess.Popen:
         return subprocess.Popen(argv, env=env,
@@ -661,8 +635,7 @@ def _run_sigkill(*, seed: int, n_requests: int, retries: int,
 
 def run_serve_chaos(*, scenarios: Sequence[str] = SERVE_SCENARIOS,
                     n_requests: int = 6, seed: int = DEFAULT_SEED,
-                    retries: int = 10, max_unavailable: float = 60.0,
-                    journal_dir: str | os.PathLike | None = None
+                    retries: int = 10, max_unavailable: float = 60.0
                     ) -> tuple[ServeChaosReport, list[str], list[str]]:
     """Run the serve-chaos campaign; returns
     ``(report, notes, gate_failures)``.
@@ -671,9 +644,8 @@ def run_serve_chaos(*, scenarios: Sequence[str] = SERVE_SCENARIOS,
     wall-clock observations (fault counts, restart gaps, retry totals)
     for stderr, and ``gate_failures`` are violated wall-clock bounds
     (e.g. the ``sigkill`` unavailability window) — they fail the
-    campaign's exit code without entering the report.  ``journal_dir``
-    defaults to a temporary directory (the ``sigkill`` scenario needs
-    one on disk).
+    campaign's exit code without entering the report.  The ``sigkill``
+    scenario's daemon keeps its disk cache in a temporary directory.
     """
     import tempfile
 
@@ -688,8 +660,6 @@ def run_serve_chaos(*, scenarios: Sequence[str] = SERVE_SCENARIOS,
     rows: list[ServeChaosRow] = []
     with Session() as clean_session, \
             tempfile.TemporaryDirectory(prefix="chaos-serve-") as tmp:
-        journal_root = Path(journal_dir) if journal_dir is not None \
-            else Path(tmp)
         for scenario in scenarios:
             if scenario == "conn-reset":
                 rows.append(_run_proxy_scenario(
@@ -708,7 +678,7 @@ def run_serve_chaos(*, scenarios: Sequence[str] = SERVE_SCENARIOS,
             else:
                 rows.append(_run_sigkill(
                     seed=seed, n_requests=n_requests, retries=retries,
-                    journal_dir=journal_root / "sigkill",
+                    cache_dir=Path(tmp) / "sigkill",
                     max_unavailable=max_unavailable,
                     clean_session=clean_session, notes=notes,
                     gates=gates))

@@ -7,10 +7,10 @@ same tally in ``extra``.  With ``--supervise`` this process becomes the
 supervisor parent instead: it forks the daemon as a child
 (``python -m repro.experiments serve ...``), watches ``/healthz``
 heartbeats, and restarts it on crash or hang with capped exponential
-backoff; pair it with ``--journal-dir`` so a restarted child replays
-incomplete work (see docs/serving.md).  ``submit`` sends one request to
-a running daemon and exits with a typed code
-(:data:`~repro.serve.protocol.EXIT_OK` / ``EXIT_ERROR`` /
+backoff; set ``REPRO_CACHE_DIR`` so a restarted child answers
+completed requests from its disk cache (see docs/serving.md).
+``submit`` sends one request to a running daemon and exits with a typed
+code (:data:`~repro.serve.protocol.EXIT_OK` / ``EXIT_ERROR`` /
 ``EXIT_REJECTED`` / ``EXIT_UNAVAILABLE``) so shell pipelines and CI can
 branch on the outcome; ``--retries`` / ``--hedge`` arm the hardened
 client paths.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -75,10 +76,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-body-bytes", type=int, default=None,
                         help="request body cap; larger bodies get a "
                              "typed HTTP 413 (default: 1 MiB)")
-    parser.add_argument("--journal-dir", default=None,
-                        help="directory for the crash-safe request "
-                             "journal; a restarted daemon replays "
-                             "incomplete work from it")
     parser.add_argument("--supervise", action="store_true",
                         help="run as a supervisor: fork the daemon as a "
                              "child, watch /healthz, restart on crash "
@@ -200,7 +197,6 @@ def run_serve_command(ns: argparse.Namespace) -> int:
 
     from ..session import Session
     from .broker import BrokerConfig, RequestBroker
-    from .journal import RequestJournal
     from .server import MAX_BODY_BYTES, ServeDaemon
 
     try:
@@ -212,11 +208,9 @@ def run_serve_command(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    journal = RequestJournal.in_dir(ns.journal_dir) \
-        if ns.journal_dir else None
     session = Session(jobs=ns.jobs, persistent=True,
                       max_tasks_per_worker=ns.max_tasks_per_worker)
-    broker = RequestBroker(session=session, config=config, journal=journal)
+    broker = RequestBroker(session=session, config=config)
     try:
         daemon = ServeDaemon(
             ns.host, ns.port, broker=broker,
@@ -231,19 +225,12 @@ def run_serve_command(ns: argparse.Namespace) -> int:
           f"(queue depth {config.max_queue_depth}, "
           f"{config.workers} executor(s)); SIGTERM or POST /shutdown "
           f"to stop", flush=True)
-    if journal is not None:
-        jc = broker.journal_counts
-        print(f"[serve] journal {journal.path}: {jc['restored']} "
-              f"restored response(s) on startup", flush=True)
     daemon.wait()
     drained = daemon.drained
     print(f"[serve] stopped ({'drained' if drained else 'drain timed out'}); "
           f"{broker.summary()}", flush=True)
     # surfaced into the run-ledger record by the entry point
-    summary = dict(broker.counts)
-    if journal is not None:
-        summary["journal"] = dict(broker.journal_counts)
-    ns.serve_summary = summary
+    ns.serve_summary = dict(broker.counts)
     return 0 if drained else 1
 
 
@@ -273,8 +260,6 @@ def _child_argv(ns: argparse.Namespace, port: int) -> list[str]:
         argv += ["--max-tasks-per-worker", str(ns.max_tasks_per_worker)]
     if ns.max_body_bytes is not None:
         argv += ["--max-body-bytes", str(ns.max_body_bytes)]
-    if ns.journal_dir:
-        argv += ["--journal-dir", ns.journal_dir]
     if ns.verbose:
         argv += ["--verbose"]
     return argv
@@ -285,9 +270,9 @@ def _run_supervised(ns: argparse.Namespace) -> int:
 
     port = ns.port if ns.port else _free_port(ns.host)
     argv = _child_argv(ns, port)
-    if not ns.journal_dir:
-        print("[supervise] note: no --journal-dir; a restarted daemon "
-              "starts cold (no request replay)", flush=True)
+    if not os.environ.get("REPRO_CACHE_DIR", "").strip():
+        print("[supervise] note: REPRO_CACHE_DIR unset; a restarted "
+              "daemon starts cold", flush=True)
 
     def spawn() -> subprocess.Popen:
         return subprocess.Popen(argv)

@@ -5,9 +5,11 @@ Four pieces, each usable alone:
 :class:`BackoffPolicy`
     Capped exponential backoff with seeded jitter — deterministic per
     ``(seed, attempt)``, so retry schedules replay identically in tests
-    and chaos campaigns.  Shared by the client's retry waves, the
-    readiness poller (:func:`repro.serve.client.wait_ready`) and the
-    supervisor's restart pacing.
+    and chaos campaigns.  Defined in :mod:`repro.session.runner` (whose
+    retry waves use it too) and re-exported here; shared by the
+    client's retry waves, the readiness poller
+    (:func:`repro.serve.client.wait_ready`) and the supervisor's restart
+    pacing.
 
 :class:`CircuitBreaker`
     The classic closed → open → half-open machine guarding one
@@ -29,15 +31,14 @@ Four pieces, each usable alone:
     A parent process that forks the serve daemon, watches liveness via
     ``/healthz`` heartbeats, and restarts it on crash or hang with
     capped exponential backoff (``serve.restarts`` /
-    ``serve.supervisor.*`` metrics).  Combined with the request journal
-    (:mod:`repro.serve.journal`) a SIGKILL'd daemon comes back, replays
-    incomplete work into the warm cache, and retrying clients complete
-    with byte-identical responses.
+    ``serve.supervisor.*`` metrics).  With ``REPRO_CACHE_DIR`` set, a
+    SIGKILL'd daemon comes back answering its completed responses from
+    the disk cache, and retrying clients complete with byte-identical
+    responses.
 """
 
 from __future__ import annotations
 
-import random
 import subprocess
 import threading
 import time
@@ -46,6 +47,7 @@ from typing import Callable, Sequence
 
 from ..errors import CircuitOpen
 from ..obs import metrics
+from ..session.runner import BackoffPolicy
 
 __all__ = [
     "BackoffPolicy",
@@ -59,55 +61,6 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
 ]
-
-
-# -- backoff -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Capped exponential backoff with seeded jitter.
-
-    ``delay(attempt)`` is ``initial * factor**attempt`` capped at
-    ``max_delay``, multiplied by a jitter factor drawn deterministically
-    from ``(seed, attempt)`` in ``[1 - jitter/2, 1 + jitter/2)`` — the
-    same idiom as :meth:`repro.session.runner.ParallelRunner.map`'s
-    retry waves, so every layer of the stack backs off the same way and
-    chaos campaigns replay identically per seed.
-    """
-
-    initial: float = 0.05     #: delay of attempt 0, seconds
-    factor: float = 2.0       #: exponential growth per attempt
-    max_delay: float = 5.0    #: cap on the un-jittered delay
-    jitter: float = 0.5       #: total jitter band (0 = none)
-    seed: int = 0             #: jitter seed (deterministic per attempt)
-
-    def __post_init__(self) -> None:
-        if self.initial <= 0:
-            raise ValueError(f"initial must be > 0, got {self.initial}")
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
-        if self.max_delay < self.initial:
-            raise ValueError(f"max_delay must be >= initial, "
-                             f"got {self.max_delay} < {self.initial}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    def delay(self, attempt: int) -> float:
-        """The pause before retry ``attempt`` (0-based), jittered."""
-        if attempt < 0:
-            raise ValueError(f"attempt must be >= 0, got {attempt}")
-        base = min(self.initial * self.factor ** attempt, self.max_delay)
-        if not self.jitter:
-            return base
-        # deterministic per (seed, attempt): replays are byte-identical
-        draw = random.Random(self.seed * 1000003 + attempt).random()
-        return base * (1.0 + self.jitter * (draw - 0.5))
-
-    def sleep(self, attempt: int) -> float:
-        """Sleep for ``delay(attempt)``; returns the slept seconds."""
-        pause = self.delay(attempt)
-        time.sleep(pause)
-        return pause
 
 
 # -- circuit breaker -----------------------------------------------------------

@@ -13,8 +13,8 @@ the JSON protocol of :mod:`repro.serve.protocol`:
     (``computed`` / ``coalesced`` / ``cached`` / ``rejected``) without
     perturbing the body.
 ``GET /stats``
-    The broker's live tallies, both cache tiers, session counters,
-    health state and journal-replay counts.
+    The broker's live tallies, the artifact and result caches (each
+    with its disk-tier counters), session counters and health state.
 ``GET /healthz``
     The broker's :class:`~repro.serve.resilience.HealthReport` —
     ``{"status": "ok"|"degraded"|"draining", "reasons": [...]}`` — for

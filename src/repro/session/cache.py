@@ -4,9 +4,9 @@ The in-memory tier is a plain LRU over fingerprint keys.  The disk tier
 (enabled by passing ``disk_dir`` — the session layer resolves
 ``REPRO_CACHE_DIR`` / ``~/.cache/repro``) persists artifacts as pickles
 under two-level fan-out directories (``ab/ab12….pkl``), written
-atomically (temp file + rename) so concurrent writers — e.g. the
+atomically (temp file, fsync, rename) so concurrent writers — e.g. the
 :class:`~repro.session.runner.ParallelRunner`'s worker processes — never
-expose a torn file.  Disk entries are self-invalidating across library
+expose a torn file, and an entry that is visible survives a crash.  Disk entries are self-invalidating across library
 versions because the fingerprint key embeds ``repro.__version__``.
 
 Within one process the cache is thread-safe: every public operation
@@ -251,6 +251,10 @@ class ArtifactCache:
             try:
                 with os.fdopen(fd, "wb") as fh:
                     pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    # durable before visible: a rename that survives a
+                    # crash must never point at unflushed bytes
+                    fh.flush()
+                    os.fsync(fh.fileno())
                 os.replace(tmp, path)
             except BaseException:
                 try:

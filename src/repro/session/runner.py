@@ -43,7 +43,8 @@ from ..errors import TaskTimeout
 from ..obs import metrics
 from ..obs.aggregate import collecting, merge_into_process, telemetry_config
 
-__all__ = ["ParallelRunner", "TaskResult", "resolve_jobs"]
+__all__ = ["BackoffPolicy", "ParallelRunner", "TaskResult",
+           "resolve_jobs"]
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -61,6 +62,56 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if jobs < 0:
         jobs = os.cpu_count() or 1
     return max(jobs, 1)
+
+
+# -- backoff -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BackoffPolicy:
+    """Capped exponential backoff with seeded jitter.
+
+    ``delay(attempt)`` is ``initial * factor**attempt`` capped at
+    ``max_delay``, multiplied by a jitter factor drawn deterministically
+    from ``(seed, attempt)`` in ``[1 - jitter/2, 1 + jitter/2)``.  The
+    one backoff of the stack: :meth:`ParallelRunner.map`'s retry waves
+    and the serve layer's clients and supervisor all sleep through it,
+    so every layer backs off the same way and chaos campaigns replay
+    identically per seed.
+    """
+
+    initial: float = 0.05     #: delay of attempt 0, seconds
+    factor: float = 2.0       #: exponential growth per attempt
+    max_delay: float = 5.0    #: cap on the un-jittered delay
+    jitter: float = 0.5       #: total jitter band (0 = none)
+    seed: int = 0             #: jitter seed (deterministic per attempt)
+
+    def __post_init__(self) -> None:
+        if self.initial <= 0:
+            raise ValueError(f"initial must be > 0, got {self.initial}")
+        if self.factor < 1.0:
+            raise ValueError(f"factor must be >= 1, got {self.factor}")
+        if self.max_delay < self.initial:
+            raise ValueError(f"max_delay must be >= initial, "
+                             f"got {self.max_delay} < {self.initial}")
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
+
+    def delay(self, attempt: int) -> float:
+        """The pause before retry ``attempt`` (0-based), jittered."""
+        if attempt < 0:
+            raise ValueError(f"attempt must be >= 0, got {attempt}")
+        base = min(self.initial * self.factor ** attempt, self.max_delay)
+        if not self.jitter:
+            return base
+        # deterministic per (seed, attempt): replays are byte-identical
+        draw = random.Random(self.seed * 1000003 + attempt).random()
+        return base * (1.0 + self.jitter * (draw - 0.5))
+
+    def sleep(self, attempt: int) -> float:
+        """Sleep for ``delay(attempt)``; returns the slept seconds."""
+        pause = self.delay(attempt)
+        time.sleep(pause)
+        return pause
 
 
 @dataclass
@@ -193,9 +244,10 @@ class ParallelRunner:
         ``timed_out=True`` (in the parallel path the wedged worker
         process is terminated so the pool cannot hang).  ``retries``
         re-runs failed (including timed-out) tasks up to that many extra
-        times, sleeping a seeded exponential backoff
-        (``backoff * 2**attempt``, jittered by ``backoff_seed``) between
-        waves; ``attempts`` on each result records the total tries.
+        times, sleeping a seeded exponential :class:`BackoffPolicy`
+        (``backoff * 2**wave`` uncapped, jitter band 1.0, seeded by
+        ``backoff_seed``) between waves; ``attempts`` on each result
+        records the total tries.
         """
         if on_error not in ("capture", "raise"):
             raise ValueError(f"on_error must be 'capture' or 'raise', "
@@ -208,6 +260,9 @@ class ParallelRunner:
         results: list[TaskResult] = [
             TaskResult(index=i) for i in range(len(items))]
         pending = list(range(len(items)))
+        policy = BackoffPolicy(initial=backoff, factor=2.0,
+                               max_delay=math.inf, jitter=1.0,
+                               seed=backoff_seed) if backoff > 0 else None
         with metrics.timer("runner.map_seconds",
                            "wall time of ParallelRunner.map calls").time():
             for attempt in range(retries + 1):
@@ -217,7 +272,8 @@ class ParallelRunner:
                     metrics.counter(
                         "runner.retries", "task retry attempts").inc(
                         len(pending))
-                    self._backoff_sleep(attempt, backoff, backoff_seed)
+                    if policy is not None:
+                        policy.sleep(attempt - 1)
                 if workers <= 1:
                     wave = self._run_sequential(fn, items, pending, timeout)
                 else:
@@ -250,14 +306,6 @@ class ParallelRunner:
         return results
 
     # -- execution waves --------------------------------------------------------
-
-    @staticmethod
-    def _backoff_sleep(attempt: int, backoff: float, seed: int) -> None:
-        if backoff <= 0:
-            return
-        # seeded jitter in [0.5, 1.5): deterministic per (seed, attempt)
-        jitter = 0.5 + random.Random(seed * 1000003 + attempt).random()
-        time.sleep(backoff * (2 ** (attempt - 1)) * jitter)
 
     @staticmethod
     def _timeout_result(index: int, timeout: float) -> TaskResult:

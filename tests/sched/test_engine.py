@@ -198,19 +198,6 @@ def test_engine_metrics_published(recurrent_ddg, resources, arch):
         snap["sched.engine.attempts"] - snap["sched.engine.window_tables"]
 
 
-def test_deprecated_ordering_reexports_warn():
-    import repro.sched as sched_pkg
-    from repro.sched import ordering
-
-    with pytest.warns(DeprecationWarning, match="repro.sched.ordering"):
-        fn = sched_pkg.compute_node_order
-    assert fn is ordering.compute_node_order
-    with pytest.warns(DeprecationWarning):
-        assert sched_pkg.partition_into_sets is ordering.partition_into_sets
-    with pytest.raises(AttributeError):
-        sched_pkg.not_a_symbol
-
-
 def test_schedule_round_trip_still_validates(fig1_ddg, fig1_machine):
     """The engine's slot maps build real, validating Schedules."""
     from repro.sched import validate_schedule

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import pytest
 
 from repro.errors import ProtocolError, TaskTimeout
 from repro.serve.broker import BrokerConfig, RequestBroker, execute_request
-from repro.serve.journal import RequestJournal, read_journal
 from repro.serve.protocol import ServeRequest, response_bytes
 from repro.serve.resilience import HealthPolicy
 from repro.session import Session
@@ -485,93 +485,96 @@ def test_execution_distress_sheds_coalescible_duplicates(registry,
         broker.stop(drain=False, timeout=1.0)
 
 
-# -- journal replay ------------------------------------------------------------
-
-def test_journal_records_admissions_and_completions(registry, span_tracer,
-                                                    tmp_path):
-    journal = RequestJournal.in_dir(tmp_path)
-    broker = RequestBroker(session=Session(jobs=1), journal=journal)
-    try:
-        resp, _ = broker.submit(_req())
-        replay = read_journal(journal.path)
-        assert replay.incomplete == {}           # admitted, then completed
-        assert replay.completed == {_req().fingerprint(): resp}
-        appends = journal.appends
-        _, served = broker.submit(_req())        # cache hit: no new records
-        assert served == "cached"
-        assert journal.appends == appends
-    finally:
-        broker.stop(drain=False, timeout=1.0)
-
+# -- durable response cache ------------------------------------------------------
 
 def test_restart_restores_completed_responses_without_recomputing(
         registry, span_tracer, tmp_path):
-    first = RequestBroker(session=Session(jobs=1),
-                          journal=RequestJournal.in_dir(tmp_path))
+    """A fresh broker over the same cache directory answers a request a
+    stopped broker completed from the disk tier: same bytes, no
+    execution, no compile."""
+    first = RequestBroker(session=Session(jobs=1, cache_dir=tmp_path))
     resp1, _ = first.submit(_req())
     first.stop(drain=False, timeout=5.0)
 
     def must_not_execute(session, request, **kw):
-        raise AssertionError("restored responses must not re-execute")
+        raise AssertionError("a persisted response must not re-execute")
 
-    second = RequestBroker(session=Session(jobs=1),
-                           journal=RequestJournal.in_dir(tmp_path),
-                           execute=must_not_execute).start()
+    second = RequestBroker(session=Session(jobs=1, cache_dir=tmp_path),
+                           execute=must_not_execute)
     try:
-        assert second.journal_counts["restored"] == 1
         resp2, served = second.submit(_req())
         assert served == "cached"
         assert response_bytes(resp2) == response_bytes(resp1)
-        assert second.stats()["journal"]["restored"] == 1
+        assert second.session.stats.compiles == 0
+        assert second.stats()["result_cache"]["disk_hits"] == 1
     finally:
         second.stop(drain=False, timeout=1.0)
 
 
-def test_restart_recovers_admitted_but_unfinished_work(registry,
-                                                       span_tracer,
-                                                       tmp_path):
-    """An admitted-without-completed record — the signature a SIGKILL
-    leaves — is re-executed on restart, so the retrying client's
-    resubmission is a warm cache hit."""
-    req = _req()
-    crashed = RequestJournal.in_dir(tmp_path)
-    crashed.admitted(req.fingerprint(), req.to_dict())
+def test_completed_response_is_persisted_under_its_fingerprint(
+        registry, span_tracer, tmp_path):
+    """Only an ok response reaches the disk tier, keyed by the request
+    fingerprint, and it reads back equal to what was served."""
+    def boom(session, request, **kw):
+        raise ValueError("no feasible II")
 
-    calls: list[str] = []
-
-    def counting(session, request, **kw):
-        calls.append(request.fingerprint())
-        return execute_request(session, request, **kw)
-
-    broker = RequestBroker(session=Session(jobs=1),
-                           journal=RequestJournal.in_dir(tmp_path),
-                           execute=counting).start()
+    failing = RequestBroker(session=Session(jobs=1, cache_dir=tmp_path),
+                            execute=boom)
     try:
-        _wait_until(lambda: broker.journal_counts["recovered"] == 1)
+        resp, _ = failing.submit(_req())
+        assert resp["status"] == "error"
+    finally:
+        failing.stop(drain=False, timeout=1.0)
+    assert not list((tmp_path / "responses").glob("??/*.pkl"))
+
+    broker = RequestBroker(session=Session(jobs=1, cache_dir=tmp_path))
+    try:
+        req = _req()
         resp, served = broker.submit(req)
-        assert served == "cached"                # replay warmed the cache
-        assert resp["status"] == "ok"
-        assert calls == [req.fingerprint()]      # exactly one execution
+        assert served == "computed"
+        fp = req.fingerprint()
+        (entry,) = (tmp_path / "responses").glob("??/*.pkl")
+        assert entry == tmp_path / "responses" / fp[:2] / f"{fp}.pkl"
+        with entry.open("rb") as fh:
+            assert pickle.load(fh) == resp
+        assert broker.stats()["result_cache"]["disk_stores"] == 1
     finally:
         broker.stop(drain=False, timeout=1.0)
 
 
-def test_unreplayable_journal_entries_are_abandoned(registry, span_tracer,
-                                                    tmp_path):
-    crashed = RequestJournal.in_dir(tmp_path)
-    crashed.admitted("f" * 16, {"kind": "transmogrify", "source": "x"})
-    broker = RequestBroker(session=Session(jobs=1),
-                           journal=RequestJournal.in_dir(tmp_path)).start()
+def test_truncated_response_pickle_is_recomputed(registry, span_tracer,
+                                                 tmp_path):
+    first = RequestBroker(session=Session(jobs=1, cache_dir=tmp_path))
+    resp1, _ = first.submit(_req())
+    first.stop(drain=False, timeout=5.0)
+    (entry,) = (tmp_path / "responses").glob("??/*.pkl")
+    entry.write_bytes(entry.read_bytes()[:5])     # torn write survivor
+
+    second = RequestBroker(session=Session(jobs=1, cache_dir=tmp_path))
     try:
-        assert broker.journal_counts["abandoned"] == 1
-        assert broker.stats()["journal"]["abandoned"] == 1
+        resp2, served = second.submit(_req())
+        assert served == "computed"
+        assert response_bytes(resp2) == response_bytes(resp1)
+        result_cache = second.stats()["result_cache"]
+        assert result_cache["disk_errors"] == 1
+        assert result_cache["disk_hits"] == 0
+    finally:
+        second.stop(drain=False, timeout=1.0)
+
+
+def test_memory_only_session_has_no_response_disk_tier(registry,
+                                                       span_tracer,
+                                                       monkeypatch):
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    broker = RequestBroker(session=Session(jobs=1))
+    try:
+        broker.submit(_req())
+        stats = broker.stats()
+        assert stats["result_cache"]["disk_tier"] is False
+        assert stats["result_cache"]["disk_stores"] == 0
+        assert "journal" not in stats
     finally:
         broker.stop(drain=False, timeout=1.0)
-
-
-def test_stats_without_a_journal_reports_none(broker):
-    broker.submit(_req())
-    assert broker.stats()["journal"] is None
 
 
 # -- telemetry ---------------------------------------------------------------

@@ -103,6 +103,29 @@ def test_disk_write_failure_is_soft(tmp_path, monkeypatch):
     assert cache.get("ab34") == 7     # memory tier still has it
 
 
+def test_disk_write_fsyncs_before_rename(tmp_path, monkeypatch):
+    """A visible disk entry is a durable one: the temp file is flushed
+    to disk before the rename publishes it."""
+    import repro.session.cache as cache_mod
+
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append("fsync")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cache_mod.os, "fsync", fsync)
+    monkeypatch.setattr(cache_mod.os, "replace", replace)
+    ArtifactCache(disk_dir=tmp_path).put("ab56", {"x": 1})
+    assert calls == ["fsync", "replace"]
+    assert ArtifactCache(disk_dir=tmp_path).get("ab56") == {"x": 1}
+
+
 def test_stats_summary_and_hit_rate():
     cache = ArtifactCache()
     assert cache.stats.hit_rate == 0.0

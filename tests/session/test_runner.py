@@ -220,16 +220,36 @@ def test_negative_retries_rejected():
         ParallelRunner(1).map(_square, [1], retries=-1)
 
 
-def test_backoff_sleep_is_seeded(monkeypatch):
-    slept = []
+def test_retry_waves_sleep_seeded_doubling_delays(monkeypatch):
+    """Each retry wave of ``map`` sleeps the shared BackoffPolicy's
+    delay for its wave: seeded jitter, doubling base, no cap."""
+    import math
+
     import repro.session.runner as runner_mod
+    from repro.session.runner import BackoffPolicy
+
+    slept = []
     monkeypatch.setattr(runner_mod.time, "sleep", slept.append)
-    ParallelRunner._backoff_sleep(1, backoff=0.1, seed=42)
-    ParallelRunner._backoff_sleep(1, backoff=0.1, seed=42)
-    assert slept[0] == slept[1]                     # deterministic
-    assert 0.05 <= slept[0] < 0.15                  # jitter in [0.5, 1.5)
-    ParallelRunner._backoff_sleep(2, backoff=0.1, seed=42)
-    assert slept[2] > slept[0]                      # exponential growth
+    results = ParallelRunner(1).map(_fail_on_three, [3], retries=3,
+                                    backoff=0.1, backoff_seed=42)
+    assert results[0].attempts == 4
+    policy = BackoffPolicy(initial=0.1, factor=2.0, max_delay=math.inf,
+                           jitter=1.0, seed=42)
+    assert slept == [policy.delay(0), policy.delay(1), policy.delay(2)]
+    for wave, pause in enumerate(slept):
+        base = 0.1 * 2 ** wave
+        assert 0.5 * base <= pause < 1.5 * base    # jitter in [0.5, 1.5)
+    # same seed, same schedule; another seed draws other jitter
+    again = []
+    monkeypatch.setattr(runner_mod.time, "sleep", again.append)
+    ParallelRunner(1).map(_fail_on_three, [3], retries=3, backoff=0.1,
+                          backoff_seed=42)
+    assert again == slept
+    other = []
+    monkeypatch.setattr(runner_mod.time, "sleep", other.append)
+    ParallelRunner(1).map(_fail_on_three, [3], retries=3, backoff=0.1,
+                          backoff_seed=7)
+    assert other != slept
 
 
 def test_backoff_zero_never_sleeps(monkeypatch):
