@@ -15,11 +15,16 @@ Standalone, for CI and local runs::
 best-of-3 smooths scheduler-external noise).  Timings are
 machine-specific: speedups are only meaningful against a baseline
 captured on the same machine, so the script reports the ratio but never
-fails on it unless ``--min-speedup`` is given.
+fails on it unless ``--min-speedup`` is given.  The committed seed
+baseline comes from another machine, so its ratio is labelled
+cross-machine.  ``us_per_probe`` (TMS seconds per
+``sched.engine.slot_probes``) is the same-job rate: it moves when the
+cost of one slot probe changes, whatever the search does.
 
 The report also carries ``work_counts``: the totals of the search's
 deterministic work counters over one pass of the population (placements
-attempted, candidates pruned by each rule, slots probed).  They do not
+attempted, candidates pruned by each rule, slots probed, and the probes
+rejected by C1 and by C2).  They do not
 depend on the machine, so CI compares them exactly against
 ``benchmarks/baselines/bench_sched_counts.json``; a placement or pruning
 change that alters them must update that file in the same commit.
@@ -42,7 +47,8 @@ BASELINE = REPO / "benchmarks" / "baselines" / "bench_sched_seed.json"
 
 #: deterministic work counters totalled into the report's ``work_counts``.
 WORK_COUNTERS = ("tms.candidates", "tms.pruned_bound",
-                 "tms.pruned_certificate", "sched.engine.slot_probes")
+                 "tms.pruned_certificate", "sched.engine.slot_probes",
+                 "tms.probes_c1_rejected", "tms.probes_c2_rejected")
 
 #: population cap matching the golden file and the seed baseline.
 MAX_LOOPS = 4
@@ -77,10 +83,13 @@ def measure_cold_tms(repeats: int = 3) -> dict:
                 for name in WORK_COUNTERS:
                     counts[name] += task.registry.counter(name).value
         per_kernel[loop.name] = best
+    total = sum(per_kernel.values())
+    probes = counts["sched.engine.slot_probes"]
     return {
         "max_loops": MAX_LOOPS,
         "repeats": repeats,
-        "total_seconds": sum(per_kernel.values()),
+        "total_seconds": total,
+        "us_per_probe": total * 1e6 / probes if probes else None,
         "per_kernel_seconds": per_kernel,
         "work_counts": counts,
     }
@@ -116,15 +125,19 @@ def compare_to_baseline(result: dict,
 
 
 def render(report: dict) -> str:
+    per_probe = report.get("us_per_probe")
     lines = [f"cold TMS: {report['total_seconds']:.3f}s over "
              f"{len(report['per_kernel_seconds'])} kernels "
-             f"(best of {report['repeats']})",
+             f"(best of {report['repeats']})"
+             + (f", {per_probe:.3f} us per slot probe"
+                if per_probe is not None else ""),
              "work: " + ", ".join(f"{name} {count}" for name, count
                                   in report["work_counts"].items())]
     if report.get("baseline"):
         lines.append(
             f"seed baseline: {report['baseline']['total_seconds']:.3f}s "
-            f"-> {report['speedup_over_seed']:.2f}x speedup")
+            f"-> {report['speedup_over_seed']:.2f}x speedup (cross-machine: "
+            f"the baseline was captured on another host)")
         for row in report.get("slowest_kernels", []):
             seed = (f"{row['seed_seconds']:.3f}s"
                     if row["seed_seconds"] is not None else "n/a")
@@ -179,6 +192,7 @@ def main() -> int:
         extra={"total_seconds": report["total_seconds"],
                "kernels": len(report["per_kernel_seconds"]),
                "repeats": report["repeats"],
+               "us_per_probe": report["us_per_probe"],
                "speedup_over_seed": report.get("speedup_over_seed")})
     if args.out:
         out = Path(args.out)

@@ -10,7 +10,8 @@ exposes the two placement disciplines on top of it:
     place each node at the best acceptable slot of its dependence
     window, fail the whole attempt if any node has none.  *Which* slot
     is best is the :class:`~repro.sched.engine.policy.SlotPolicy`'s
-    call.
+    call: the engine hands each node's window to ``policy.choose``,
+    which scans it in one call.
 
 ``run_backtracking``
     the IMS discipline (Rau): repeatedly pick the highest-priority
@@ -59,14 +60,16 @@ class PlacementEngine:
                   track_live: bool = False) -> dict[str, int] | None:
         """One placement attempt at ``ii`` over ``order``.
 
-        Each node is probed across its dependence window (scan direction
-        per its ordering ``directions``; unconstrained seeds anchor high
-        when ``seed_high``).  ``policy.accept`` may veto a conflict-free
-        slot; without ``policy.score`` the first acceptable slot wins
-        (SMS's lifetime-minimal strategy), with it the minimum-score slot
-        wins, ties to window order, short-circuiting at a perfect
-        ``score <= 0`` — how TMS "finds the time slot ... that leads to
-        the shortest synchronisation delay" (Section 4.1).
+        Each node's dependence window (scan direction per its ordering
+        ``directions``; unconstrained seeds anchor high when
+        ``seed_high``) goes to ``policy.choose``, which scans it and
+        returns the winning slot and the number of slots it probed:
+        the first conflict-free slot under the default policy (SMS's
+        lifetime-minimal strategy), the acceptable slot with the
+        shortest synchronisation delay under
+        :class:`~repro.sched.engine.policy.TMSPolicy` — how
+        TMS "finds the time slot ... that leads to the shortest
+        synchronisation delay" (Section 4.1).
 
         Returns the slot map, or ``None`` on failure.
         """
@@ -102,8 +105,7 @@ class PlacementEngine:
         ps = PartialSchedule(self.ctx, ii, track_live=track_live)
         partial = ps.slots
         policy.begin_attempt(ps)
-        accept = policy.accept
-        score = policy.score
+        choose = policy.choose
         on_place = policy.on_place
         loop_name = self.ctx.name
         probes = 0
@@ -111,26 +113,12 @@ class PlacementEngine:
             start, end, scan_down = table.window(
                 v, partial, directions.get(v, "top-down") == "bottom-up",
                 seed_high)
-            best_cycle: int | None = None
-            best_score = 0.0
             if scan_down:
                 candidates = range(end, start - 1, -1)
             else:
                 candidates = range(start, end + 1)
-            for cycle in candidates:
-                probes += 1
-                if not ps.fits(v, cycle):
-                    continue
-                if accept is not None and not accept(v, cycle, partial):
-                    continue
-                if score is None:
-                    best_cycle = cycle
-                    break
-                s = score(v, cycle, partial)
-                if best_cycle is None or s < best_score:
-                    best_cycle, best_score = cycle, s
-                    if s <= 0.0:
-                        break  # cannot do better than "no new sync at all"
+            best_cycle, n = choose(v, candidates, ps)
+            probes += n
             if best_cycle is None:
                 if tracer.enabled:
                     tracer.emit("sched", "place_fail", alg=alg,

@@ -104,10 +104,16 @@ class LiveTracker:
 
 
 class PartialSchedule:
-    """Slots + modulo reservation state for one attempt at one II."""
+    """Slots + modulo reservation state for one attempt at one II.
 
-    __slots__ = ("ii", "ctx", "slots", "live", "_issue_width", "_spec",
-                 "_fu_use", "_issue_use")
+    ``issue_use[row]`` (ops issued per kernel row) and
+    ``fu_use[row][fu]`` (units busy per row and FU class) are public so a
+    slot policy's window scan can inline the pipelined-unit probe;
+    only :meth:`place` and :meth:`remove` write them.
+    """
+
+    __slots__ = ("ii", "ctx", "slots", "live", "issue_width", "_spec",
+                 "fu_use", "issue_use")
 
     def __init__(self, ctx: EngineContext, ii: int, *,
                  track_live: bool = False) -> None:
@@ -117,10 +123,10 @@ class PartialSchedule:
         self.ctx = ctx
         self.slots: dict[str, int] = {}
         self.live = LiveTracker(ctx, ii) if track_live else None
-        self._issue_width = ctx.issue_width
+        self.issue_width = ctx.issue_width
         self._spec = ctx.spec
-        self._fu_use: list[list[int]] = [[0] * ctx.n_fu for _ in range(ii)]
-        self._issue_use: list[int] = [0] * ii
+        self.fu_use: list[list[int]] = [[0] * ctx.n_fu for _ in range(ii)]
+        self.issue_use: list[int] = [0] * ii
 
     # -- queries -----------------------------------------------------------
 
@@ -128,10 +134,10 @@ class PartialSchedule:
         """Resource probe: O(1) for pipelined units (the common case)."""
         ii = self.ii
         row0 = cycle % ii
-        if self._issue_use[row0] >= self._issue_width:
+        if self.issue_use[row0] >= self.issue_width:
             return False
         fu, count, occ = self._spec[name]
-        fu_use = self._fu_use
+        fu_use = self.fu_use
         if occ == 1:
             return fu_use[row0][fu] < count
         if occ >= ii:
@@ -170,8 +176,8 @@ class PartialSchedule:
                 f"resource conflict")
         fu = self._spec[name][0]
         for row in self.occupancy_rows(name, cycle):
-            self._fu_use[row][fu] += 1
-        self._issue_use[cycle % self.ii] += 1
+            self.fu_use[row][fu] += 1
+        self.issue_use[cycle % self.ii] += 1
         self.slots[name] = cycle
         if self.live is not None:
             self.live.on_place(name, cycle, self.slots)
@@ -182,7 +188,7 @@ class PartialSchedule:
             raise MachineError(f"instruction {name!r} is not placed")
         fu = self._spec[name][0]
         for row in self.occupancy_rows(name, cycle):
-            self._fu_use[row][fu] -= 1
-        self._issue_use[cycle % self.ii] -= 1
+            self.fu_use[row][fu] -= 1
+        self.issue_use[cycle % self.ii] -= 1
         if self.live is not None:
             self.live.on_remove(name, self.slots)

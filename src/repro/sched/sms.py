@@ -102,16 +102,18 @@ class SwingModuloScheduler:
         """Attempt a schedule at the given II.
 
         ``accept(v, cycle, partial)`` may veto an otherwise conflict-free
-        slot (TMS's C1/C2 conditions); ``on_place`` is notified after each
-        successful placement (with ``partial`` already updated) so callers
-        can maintain incremental state.
+        slot; ``on_place`` is notified after each successful placement
+        (with ``partial`` already updated) so callers can maintain
+        incremental state.
 
         Without ``score``, the first acceptable slot in window order is
         taken — SMS's lifetime-minimal strategy.  With ``score``, every
         acceptable slot in the window is evaluated and the minimum-score
-        one wins (ties resolved by window order) — this is how TMS "finds
-        the time slot ... that leads to the shortest synchronisation
-        delay" (paper Section 4.1).
+        one wins (ties resolved by window order, a score ``<= 0`` ends
+        the scan).  The hooks run in the generic
+        :meth:`~repro.sched.engine.policy.SlotPolicy.choose` scan; TMS
+        uses its own fused scan (:class:`~repro.sched.engine.TMSPolicy`)
+        through :meth:`try_policy`.
 
         Returns the slot map, or None on failure.
         """

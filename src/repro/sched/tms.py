@@ -285,12 +285,22 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         """
         policy = TMSPolicy(self._tms_ctx, self.arch, self.config, ii,
                            c_delay, p_max)
+        slots = None
         for seed_high in (False, True):
             self.seed_high = seed_high
             slots = self.try_policy(ii, policy)
             if slots is not None:
-                return slots, policy.certificate
-        return None, policy.certificate
+                break
+        metrics.counter(
+            "tms.probes_c1_rejected",
+            "resource-feasible TMS slot probes rejected by C1 (a new "
+            "sync delay above the C_delay threshold)").inc(
+                policy.c1_rejected)
+        metrics.counter(
+            "tms.probes_c2_rejected",
+            "TMS slot probes passing C1 but rejected by C2 (the "
+            "misspeculation frequency above P_max)").inc(policy.c2_rejected)
+        return slots, policy.certificate
 
 
 def schedule_tms(ddg: DDG, resources: ResourceModel, arch: ArchConfig,

@@ -19,9 +19,12 @@ Scenarios (:data:`SERVE_SCENARIOS`):
 
 ``sigkill``
     A supervised daemon child (real subprocess, ``REPRO_CACHE_DIR``
-    pointed at a campaign temp directory) is SIGKILL'd mid-burst; the
-    supervisor restarts it, responses completed before the kill come
-    back from the disk cache, and retrying clients resubmit the rest.
+    pointed at a campaign temp directory) answers the first half of the
+    burst and is then SIGKILL'd; the rest of the burst is submitted at
+    once into the dead window.  The supervisor restarts the child,
+    responses completed before the kill come back from the disk cache,
+    and the retrying clients get through once it is back — a gate
+    fails the campaign unless the round trips outnumber the requests.
 ``conn-reset``
     Submissions flow through a TCP proxy that hard-resets a seeded,
     *budgeted* subset of connections (``SO_LINGER 0``); client retry
@@ -600,21 +603,33 @@ def _run_sigkill(*, seed: int, n_requests: int, retries: int,
                           timeout=90.0):
             raise RuntimeError("supervised daemon never became ready")
 
-        def kill_child() -> None:
+        # the first half completes (and lands in the disk cache) before
+        # the kill; the rest is submitted at once into the dead window,
+        # so its clients must retry until the supervisor's restart.
+        half = len(requests) // 2
+        completed, wrong, attempts = _submit_burst(
+            "127.0.0.1", port, requests[:half], expected,
+            seed=scenario_seed, retries=retries)
+        pid = supervisor.child_pid
+        if pid is None:  # pragma: no cover — crashed before sabotage
+            raise RuntimeError("supervised daemon has no child to kill")
+        killed_at = time.monotonic()
+        os.kill(pid, signal.SIGKILL)
+
+        def measure_gap() -> None:
             nonlocal gap
-            pid = supervisor.child_pid
-            if pid is None:  # pragma: no cover — crashed before sabotage
-                return
-            killed_at = time.monotonic()
-            os.kill(pid, signal.SIGKILL)
             if wait_ready(ServeClient("127.0.0.1", port, timeout=5.0),
                           timeout=max_unavailable):
                 gap = time.monotonic() - killed_at
 
-        completed, wrong, attempts = _submit_burst(
-            "127.0.0.1", port, requests, expected,
-            seed=scenario_seed, retries=retries,
-            mid_burst=kill_child, mid_burst_delay=0.4)
+        rest = _submit_burst(
+            "127.0.0.1", port, requests[half:], expected,
+            seed=derive_seed(scenario_seed, scenario, "after-kill"),
+            retries=retries,
+            mid_burst=measure_gap, mid_burst_delay=0.0)
+        completed += rest[0]
+        wrong += rest[1]
+        attempts += rest[2]
     finally:
         supervisor.request_stop()
         supervisor_thread.join(timeout=60.0)
@@ -627,6 +642,10 @@ def _run_sigkill(*, seed: int, n_requests: int, retries: int,
                      f"(bound {max_unavailable:.0f}s), "
                      f"{supervisor.restarts} restart(s), "
                      f"{attempts} round trip(s) total")
+    if attempts <= len(requests):
+        gates.append(f"{scenario}: {attempts} round trip(s) for "
+                     f"{len(requests)} request(s): no client retried "
+                     f"through the SIGKILL")
     return _row(scenario, scenario_seed, requests, expected,
                 completed, wrong)
 

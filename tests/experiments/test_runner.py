@@ -22,7 +22,7 @@ def test_stats_flag_dumps_metrics(capsys):
     assert main(["table3", "--quick", "--stats"]) == 0
     captured = capsys.readouterr()
     assert "[metrics]" in captured.err
-    assert "sim.runs" in captured.err
+    assert "tms.searches" in captured.err
     assert "[cache:" in captured.err
     # the report stream itself stays clean for diffing
     assert "[metrics]" not in captured.out

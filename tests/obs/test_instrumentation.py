@@ -87,6 +87,21 @@ def test_pruned_candidates_carry_their_reason(arch, latency):
     assert counts["tms.candidates"] == reasons.count(None)
 
 
+def test_probe_rejections_are_counted_per_clause(arch, latency):
+    """C1 and C2 rejections are flushed into their own counters, and
+    together never exceed the slots probed."""
+    spec = next(b for b in SPECFP_BENCHMARKS if b.name == "ammp")
+    ddg = build_ddg(generate_benchmark_loops(spec, 1)[0], latency)
+    names = ("tms.probes_c1_rejected", "tms.probes_c2_rejected",
+             "sched.engine.slot_probes")
+    before = [metrics.counter(n).value for n in names]
+    schedule_tms(ddg, ResourceModel.default(), arch)
+    c1, c2, probes = (metrics.counter(n).value - b
+                      for n, b in zip(names, before))
+    assert c1 > 0
+    assert c1 + c2 <= probes
+
+
 def test_tms_candidate_f_breakdown(arch, tms_search):
     """Each event carries F's four max-terms and F is their maximum."""
     _sched, events = tms_search

@@ -129,3 +129,18 @@ def test_conn_reset_campaign_yields_zero_wrong_answers(registry,
     rerun, _, _ = run_serve_chaos(
         scenarios=("conn-reset",), n_requests=4, seed=5, retries=10)
     assert rerun.rows[0].digests == row.digests
+
+
+def test_sigkill_campaign_retries_through_the_dead_window(registry,
+                                                          span_tracer):
+    """The second half of the burst is submitted while the daemon is
+    dead: every request still completes byte-identically, and the
+    round-trip gate holds (clients retried through the restart)."""
+    report, notes, gates = run_serve_chaos(
+        scenarios=("sigkill",), n_requests=4, seed=7, retries=10)
+    assert gates == []
+    assert report.all_ok
+    (row,) = report.rows
+    assert row.completed == 4
+    assert row.wrong_answers == 0
+    assert any("round trip(s) total" in note for note in notes)
